@@ -17,7 +17,6 @@ self-check.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ from .automaton import (
     build_automaton,
     obligation_sort_key,
 )
-from .events import LassoTrace, dom, lasso_to_json, position_message
+from .events import LassoTrace, canonical_position, dom, lasso_to_json, position_message
 from .formula import (
     And,
     Eq,
@@ -85,9 +84,7 @@ class OracleEvaluator:
         return self.canonical(index) in self.sat(formula, valuation)
 
     def canonical(self, index: int) -> int:
-        if index < self.loop_start:
-            return index
-        return self.loop_start + (index - self.loop_start) % len(self.trace.loop)
+        return canonical_position(self.trace, index)
 
     def _successor(self, position: int) -> int:
         return position + 1 if position + 1 < self.count else self.loop_start

@@ -3,14 +3,18 @@
 States are the subformula closure plus two absorbing pits, TOP and
 BOTTOM.  A transition maps an obligation (variable valuation, state)
 and a message to a positive boolean combination of successor
-obligations, kept in disjunctive normal form.  Quantifiers expand over
-the value domain the current message yields for their path, so the
-automaton stays finite-state while valuations live inside obligations.
+obligations, built directly in disjunctive normal form: a set of
+conjuncts with no canonical order, none a subset of another.  Atoms
+that hold become the empty conjunct and atoms that fail the empty
+disjunction, so the pits never appear inside a conjunct.  Quantifiers
+expand over the value domain the current message yields for their
+path, so the automaton stays finite-state while valuations live inside
+obligations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .events import Message, dom
 from .formula import (
@@ -79,33 +83,15 @@ Conjunct = frozenset[Obligation]
 
 
 @dataclass(frozen=True)
-class TransAtom:
-    valuation: Valuation
-    state: int
-
-
-@dataclass(frozen=True)
-class TransAnd:
-    parts: tuple["TransExpr", ...]
-
-
-@dataclass(frozen=True)
-class TransOr:
-    parts: tuple["TransExpr", ...]
-
-
-TransExpr = TransAtom | TransAnd | TransOr
-
-
-@dataclass(frozen=True)
 class TransitionDnf:
-    """Antichain of obligation conjuncts; vacuous truth is one empty
-    conjunct, unsatisfiability is no conjunct at all."""
+    """Order-free antichain of obligation conjuncts: no conjunct is a
+    subset of another, so equality is structural.  Vacuous truth is one
+    empty conjunct, unsatisfiability is no conjunct at all."""
 
-    conjuncts: tuple[Conjunct, ...]
+    conjuncts: frozenset[Conjunct]
 
     def is_true(self) -> bool:
-        return any(not c for c in self.conjuncts)
+        return frozenset() in self.conjuncts
 
     def is_false(self) -> bool:
         return not self.conjuncts
@@ -116,67 +102,47 @@ def obligation_sort_key(obligation: Obligation):
     return (state, valuation.bindings)
 
 
-def _conjunct_key(conjunct: Conjunct):
-    return (len(conjunct), sorted(map(obligation_sort_key, conjunct)))
-
-
-def _normalize(conjuncts: Iterable[Conjunct]) -> tuple[Conjunct, ...]:
-    # Sorting by size first makes one subset pass produce the antichain.
-    candidates = sorted(set(conjuncts), key=_conjunct_key)
+def _normalize(conjuncts: Iterable[Conjunct]) -> list[Conjunct]:
+    # Visiting by size first makes one subset pass produce the antichain.
     kept: list[Conjunct] = []
-    for candidate in candidates:
+    for candidate in sorted(set(conjuncts), key=len):
         if not any(existing <= candidate for existing in kept):
             kept.append(candidate)
-    return tuple(kept)
+    return kept
 
 
-TRUE_DNF = TransitionDnf((frozenset(),))
-FALSE_DNF = TransitionDnf(())
+def _conjoin(operands: Iterable[Collection[Conjunct]]) -> list[Conjunct]:
+    """Conjunction of disjunctions of conjuncts, as an antichain.
 
-
-def _expand(expr: TransExpr, top: int, bottom: int) -> list[Conjunct]:
-    match expr:
-        case TransAtom(valuation, state):
-            if state == top:
-                return [frozenset()]
-            if state == bottom:
-                return []
-            return [frozenset({(valuation, state)})]
-        case TransOr(parts):
-            out: list[Conjunct] = []
-            for part in parts:
-                out.extend(_expand(part, top, bottom))
-            return out
-        case TransAnd(parts):
-            acc: list[Conjunct] = [frozenset()]
-            for part in parts:
-                branch = _expand(part, top, bottom)
-                acc = [a | b for a in acc for b in branch]
-                acc = list(_normalize(acc))
-            return acc
-    raise TypeError(f"not a transition expression: {expr!r}")
-
-
-def to_dnf(expr: TransExpr, top: int, bottom: int) -> TransitionDnf:
-    """Distribute conjunction over disjunction and prune.
-
-    TOP atoms vanish from conjuncts, any conjunct containing BOTTOM is
-    dropped, duplicates collapse, and strict supersets of another
-    conjunct are deleted, leaving a canonically ordered antichain.
+    Operands with a single conjunct fold into one base conjunct first;
+    only the operands with several conjuncts distribute over it,
+    normalizing after each.  An empty operand makes the whole FALSE.
     """
-    return TransitionDnf(_normalize(_expand(expr, top, bottom)))
+    base: set[Obligation] = set()
+    several: list[Collection[Conjunct]] = []
+    for conjuncts in operands:
+        if len(conjuncts) == 1:
+            base.update(*conjuncts)
+        elif conjuncts:
+            several.append(conjuncts)
+        else:
+            return []
+    acc = [frozenset(base)]
+    for conjuncts in several:
+        acc = _normalize(a | b for a in acc for b in conjuncts)
+    return acc
+
+
+TRUE_DNF = TransitionDnf(frozenset({frozenset()}))
+FALSE_DNF = TransitionDnf(frozenset())
 
 
 def dnf_or(dnfs: Iterable[TransitionDnf]) -> TransitionDnf:
-    return TransitionDnf(_normalize(c for d in dnfs for c in d.conjuncts))
+    return TransitionDnf(frozenset(_normalize(c for d in dnfs for c in d.conjuncts)))
 
 
 def dnf_and(dnfs: Iterable[TransitionDnf]) -> TransitionDnf:
-    acc: list[Conjunct] = [frozenset()]
-    for d in dnfs:
-        acc = [a | b for a in acc for b in d.conjuncts]
-        acc = list(_normalize(acc))
-    return TransitionDnf(tuple(acc))
+    return TransitionDnf(frozenset(_conjoin(d.conjuncts for d in dnfs)))
 
 
 def accepting_formulas(formula: Formula) -> frozenset[Formula]:
@@ -254,41 +220,38 @@ class Automaton:
             return FALSE_DNF
         target = self.states[state]
         assert isinstance(target, Formula)
-        return to_dnf(self._transition(valuation, target, message), self.top, self.bottom)
+        return TransitionDnf(frozenset(_normalize(self._transition(valuation, target, message))))
 
-    def _transition(self, p: Valuation, f: Formula, m: Message) -> TransExpr:
+    def _transition(self, p: Valuation, f: Formula, m: Message) -> list[Conjunct]:
         match f:
             case Eq(left, right):
-                holds = p.value_of(left) == p.value_of(right)
-                return TransAtom(EMPTY_VALUATION, self.top if holds else self.bottom)
+                return [frozenset()] if p.value_of(left) == p.value_of(right) else []
             case Neq(left, right):
-                holds = p.value_of(left) != p.value_of(right)
-                return TransAtom(EMPTY_VALUATION, self.top if holds else self.bottom)
+                return [frozenset()] if p.value_of(left) != p.value_of(right) else []
             case Or(left, right):
-                return TransOr((self._transition(p, left, m), self._transition(p, right, m)))
+                return self._transition(p, left, m) + self._transition(p, right, m)
             case And(left, right):
-                return TransAnd((self._transition(p, left, m), self._transition(p, right, m)))
+                return _conjoin((self._transition(p, left, m), self._transition(p, right, m)))
             case Next(body):
-                return TransAtom(p, self._refs[body])
+                return [frozenset({(p, self._refs[body])})]
             case Until(left, right):
-                hold = TransAnd((self._transition(p, left, m), TransAtom(p, self._refs[f])))
-                return TransOr((self._transition(p, right, m), hold))
+                hold = _conjoin((self._transition(p, left, m), [frozenset({(p, self._refs[f])})]))
+                return self._transition(p, right, m) + hold
             case Release(left, right):
-                settle = TransAnd((self._transition(p, left, m), self._transition(p, right, m)))
-                hold = TransAnd((self._transition(p, right, m), TransAtom(p, self._refs[f])))
-                return TransOr((settle, hold))
+                constraint = self._transition(p, right, m)
+                settle = _conjoin((self._transition(p, left, m), constraint))
+                hold = _conjoin((constraint, [frozenset({(p, self._refs[f])})]))
+                return settle + hold
             case Exists(var, path, body):
-                branches = tuple(
-                    self._transition(p.extend(var, value), body, m)
-                    for value in sorted(dom(m, path))
-                )
-                return TransOr(branches + (TransAtom(EMPTY_VALUATION, self.bottom),))
+                return [
+                    conjunct
+                    for value in dom(m, path)
+                    for conjunct in self._transition(p.extend(var, value), body, m)
+                ]
             case Forall(var, path, body):
-                branches = tuple(
-                    self._transition(p.extend(var, value), body, m)
-                    for value in sorted(dom(m, path))
+                return _conjoin(
+                    self._transition(p.extend(var, value), body, m) for value in dom(m, path)
                 )
-                return TransAnd(branches + (TransAtom(EMPTY_VALUATION, self.top),))
         raise ValueError(f"no transition rule for {f!r}")
 
     def to_dot(self) -> str:

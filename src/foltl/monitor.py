@@ -39,16 +39,19 @@ class Configuration:
 
 
 def initial_configuration(automaton: Automaton) -> Configuration:
-    return Configuration(TransitionDnf((frozenset({automaton.initial}),)))
+    return Configuration(TransitionDnf(frozenset({frozenset({automaton.initial})})))
 
 
 def step(automaton: Automaton, configuration: Configuration, message: Message) -> Configuration:
     """Consume one message.
 
-    Within a conjunct the rewritten obligations are conjoined, across
-    conjuncts disjoined, and the result normalized.  The decided
-    configurations are fixed points: an empty conjunct stays an empty
-    conjunct and an empty disjunction stays empty.
+    Each obligation is rewritten once per message, however many
+    conjuncts hold it.  Within a conjunct the rewrites are conjoined:
+    rewrites with a single conjunct, the usual case for a pending
+    backlog, merge by plain union and only the rest distribute.  Across
+    conjuncts the results are disjoined and reduced to an antichain.
+    The decided configurations are fixed points: an empty conjunct
+    stays an empty conjunct and an empty disjunction stays empty.
     """
     cache: dict[Obligation, TransitionDnf] = {}
 

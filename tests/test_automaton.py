@@ -12,10 +12,7 @@ from foltl.automaton import (
     TOP,
     TRUE_DNF,
     Automaton,
-    TransAnd,
-    TransAtom,
     TransitionDnf,
-    TransOr,
     UndefinedVariableError,
     Valuation,
     accepting_formulas,
@@ -23,7 +20,6 @@ from foltl.automaton import (
     dnf_and,
     dnf_or,
     obligation_sort_key,
-    to_dnf,
 )
 from foltl.events import parse_message
 from foltl.formula import (
@@ -94,37 +90,28 @@ def _ob(state, **bindings):
     return (Valuation(tuple(bindings.items())), state)
 
 
-_TOP_REF = 90
-_BOTTOM_REF = 91
-
-
-def _atom(state, **bindings):
-    return TransAtom(Valuation(tuple(bindings.items())), state)
+def _lit(state, **bindings):
+    """The DNF holding one obligation alone."""
+    return TransitionDnf(frozenset({frozenset({_ob(state, **bindings)})}))
 
 
 class TestDnfConversion:
     def test_plain_atom(self):
-        got = to_dnf(_atom(3), _TOP_REF, _BOTTOM_REF)
-        assert got == TransitionDnf((frozenset({_ob(3)}),))
+        assert dnf_or([_lit(3)]) == _lit(3)
+        assert dnf_and([_lit(3)]) == _lit(3)
 
     def test_top_atom_is_vacuous(self):
-        assert to_dnf(_atom(_TOP_REF), _TOP_REF, _BOTTOM_REF) == TRUE_DNF
-        got = to_dnf(TransAnd((_atom(_TOP_REF), _atom(2))), _TOP_REF, _BOTTOM_REF)
-        assert got == TransitionDnf((frozenset({_ob(2)}),))
+        assert dnf_and([TRUE_DNF]) == TRUE_DNF
+        assert dnf_and([TRUE_DNF, _lit(2)]) == _lit(2)
 
     def test_bottom_atom_kills_its_conjunct(self):
-        assert to_dnf(_atom(_BOTTOM_REF), _TOP_REF, _BOTTOM_REF) == FALSE_DNF
-        got = to_dnf(
-            TransOr((TransAnd((_atom(_BOTTOM_REF), _atom(2))), _atom(1))),
-            _TOP_REF,
-            _BOTTOM_REF,
-        )
-        assert got == TransitionDnf((frozenset({_ob(1)}),))
+        assert dnf_or([FALSE_DNF]) == FALSE_DNF
+        got = dnf_or([dnf_and([FALSE_DNF, _lit(2)]), _lit(1)])
+        assert got == _lit(1)
 
     def test_conjunction_distributes(self):
-        expr = TransAnd((TransOr((_atom(0), _atom(1))), TransOr((_atom(2), _atom(3)))))
-        got = to_dnf(expr, _TOP_REF, _BOTTOM_REF)
-        assert set(got.conjuncts) == {
+        got = dnf_and([dnf_or([_lit(0), _lit(1)]), dnf_or([_lit(2), _lit(3)])])
+        assert got.conjuncts == {
             frozenset({_ob(0), _ob(2)}),
             frozenset({_ob(0), _ob(3)}),
             frozenset({_ob(1), _ob(2)}),
@@ -132,39 +119,33 @@ class TestDnfConversion:
         }
 
     def test_subsuming_conjunct_is_dropped(self):
-        expr = TransOr((TransAnd((_atom(0), _atom(1))), _atom(0)))
-        got = to_dnf(expr, _TOP_REF, _BOTTOM_REF)
-        assert got == TransitionDnf((frozenset({_ob(0)}),))
+        got = dnf_or([dnf_and([_lit(0), _lit(1)]), _lit(0)])
+        assert got == _lit(0)
 
     def test_duplicates_collapse(self):
-        got = to_dnf(TransOr((_atom(0), _atom(0))), _TOP_REF, _BOTTOM_REF)
+        got = dnf_or([_lit(0), _lit(0)])
         assert len(got.conjuncts) == 1
 
     def test_same_state_different_bindings_are_distinct(self):
-        got = to_dnf(TransOr((_atom(0, x="1"), _atom(0, x="2"))), _TOP_REF, _BOTTOM_REF)
+        got = dnf_or([_lit(0, x="1"), _lit(0, x="2")])
         assert len(got.conjuncts) == 2
 
-    def test_canonical_conjunct_order(self):
-        expr = TransOr((TransAnd((_atom(2), _atom(1))), _atom(9), _atom(4)))
-        got = to_dnf(expr, _TOP_REF, _BOTTOM_REF)
-        assert got.conjuncts == (
-            frozenset({_ob(4)}),
-            frozenset({_ob(9)}),
-            frozenset({_ob(1), _ob(2)}),
-        )
+    def test_operand_order_is_invisible(self):
+        parts = [dnf_and([_lit(2), _lit(1)]), _lit(9), _lit(4)]
+        assert dnf_or(parts) == dnf_or(parts[::-1])
+        assert dnf_and(parts) == dnf_and(parts[::-1])
 
     def test_truth_predicates(self):
         assert TRUE_DNF.is_true() and not TRUE_DNF.is_false()
         assert FALSE_DNF.is_false() and not FALSE_DNF.is_true()
-        plain = to_dnf(_atom(0), _TOP_REF, _BOTTOM_REF)
-        assert not plain.is_true() and not plain.is_false()
+        assert not _lit(0).is_true() and not _lit(0).is_false()
 
     def test_empty_combinators(self):
         assert dnf_and([]) == TRUE_DNF
         assert dnf_or([]) == FALSE_DNF
 
     def test_combinator_identities(self):
-        plain = to_dnf(_atom(0), _TOP_REF, _BOTTOM_REF)
+        plain = _lit(0)
         assert dnf_and([plain, TRUE_DNF]) == plain
         assert dnf_and([plain, FALSE_DNF]) == FALSE_DNF
         assert dnf_or([plain, FALSE_DNF]) == plain
@@ -179,57 +160,66 @@ _UNIVERSE = (
 )
 
 
-def _trans_exprs(depth):
-    leaves = st.sampled_from(
-        [TransAtom(v, s) for v, s in _UNIVERSE]
-        + [_atom(_TOP_REF), _atom(_BOTTOM_REF)]
-    )
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
-            st.lists(sub, min_size=1, max_size=3).map(lambda ps: TransAnd(tuple(ps))),
-            st.lists(sub, min_size=1, max_size=3).map(lambda ps: TransOr(tuple(ps))),
-        ),
-        max_leaves=depth,
+def _antichain(conjuncts):
+    """The minimal members of a set of conjuncts, as a DNF operand."""
+    return TransitionDnf(
+        frozenset(c for c in conjuncts if not any(other < c for other in conjuncts))
     )
 
 
-def _eval_expr(expr, truth):
-    match expr:
-        case TransAtom(valuation, state):
-            if state == _TOP_REF:
-                return True
-            if state == _BOTTOM_REF:
-                return False
-            return (valuation, state) in truth
-        case TransAnd(parts):
-            return all(_eval_expr(p, truth) for p in parts)
-        case TransOr(parts):
-            return any(_eval_expr(p, truth) for p in parts)
-    raise TypeError
+_CONJUNCTS = st.frozensets(st.sampled_from(_UNIVERSE), max_size=3)
+_SINGLE = _CONJUNCTS.map(lambda c: _antichain({c}))
+_SEVERAL = st.sets(_CONJUNCTS, min_size=2, max_size=4).map(_antichain)
+_OPERANDS = st.lists(
+    st.one_of(st.just(TRUE_DNF), st.just(FALSE_DNF), _SINGLE, _SEVERAL), max_size=4
+)
+# At least one single-conjunct operand interleaved with several-conjunct ones.
+_MIXED = st.tuples(
+    st.lists(_SINGLE, min_size=1, max_size=3), st.lists(_SEVERAL, min_size=1, max_size=2)
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
 
 
 def _eval_dnf(dnf, truth):
     return any(conjunct <= truth for conjunct in dnf.conjuncts)
 
 
-class TestDnfEquivalence:
-    @given(_trans_exprs(depth=8))
-    def test_equivalent_under_every_assignment(self, expr):
-        dnf = to_dnf(expr, _TOP_REF, _BOTTOM_REF)
-        for pick in itertools.product((False, True), repeat=len(_UNIVERSE)):
-            truth = frozenset(ob for ob, take in zip(_UNIVERSE, pick) if take)
-            assert _eval_dnf(dnf, truth) == _eval_expr(expr, truth)
+def _assignments():
+    for pick in itertools.product((False, True), repeat=len(_UNIVERSE)):
+        yield frozenset(ob for ob, take in zip(_UNIVERSE, pick) if take)
 
-    @given(_trans_exprs(depth=8))
-    def test_result_is_a_sorted_antichain(self, expr):
-        dnf = to_dnf(expr, _TOP_REF, _BOTTOM_REF)
-        for left, right in itertools.combinations(dnf.conjuncts, 2):
-            assert not (left <= right or right <= left)
-        keys = [
-            (len(c), sorted(map(obligation_sort_key, c))) for c in dnf.conjuncts
-        ]
-        assert keys == sorted(keys)
+
+def _assert_antichain(dnf):
+    for left, right in itertools.combinations(dnf.conjuncts, 2):
+        assert not (left <= right or right <= left)
+
+
+class TestDnfEquivalence:
+    @given(_OPERANDS)
+    def test_equivalent_under_every_assignment(self, operands):
+        conjoined = dnf_and(operands)
+        disjoined = dnf_or(operands)
+        for truth in _assignments():
+            assert _eval_dnf(conjoined, truth) == all(_eval_dnf(d, truth) for d in operands)
+            assert _eval_dnf(disjoined, truth) == any(_eval_dnf(d, truth) for d in operands)
+
+    @given(_OPERANDS)
+    def test_result_is_an_antichain(self, operands):
+        _assert_antichain(dnf_and(operands))
+        _assert_antichain(dnf_or(operands))
+
+    @given(_OPERANDS)
+    def test_idempotent(self, operands):
+        for d in (*operands, dnf_and(operands), dnf_or(operands)):
+            assert dnf_and([d, d]) == d
+            assert dnf_or([d, d]) == d
+
+    @given(_MIXED)
+    def test_single_conjunct_operands_mixed_with_several(self, operands):
+        conjoined = dnf_and(operands)
+        _assert_antichain(conjoined)
+        assert dnf_and([conjoined, conjoined]) == conjoined
+        for truth in _assignments():
+            assert _eval_dnf(conjoined, truth) == all(_eval_dnf(d, truth) for d in operands)
 
 
 class TestAcceptingSets:
@@ -323,7 +313,7 @@ class TestDelta:
         phi = Next(A)
         auto = build_automaton(phi)
         got = auto.delta(EMPTY_VALUATION, 0, STOCK)
-        assert got == TransitionDnf((frozenset({(EMPTY_VALUATION, auto.ref_of(A))}),))
+        assert got == TransitionDnf(frozenset({frozenset({(EMPTY_VALUATION, auto.ref_of(A))})}))
 
     def test_until_settles_on_true_right(self):
         auto = build_automaton(Until(NO, A))
@@ -333,7 +323,7 @@ class TestDelta:
         phi = Until(A, NO)
         auto = build_automaton(phi)
         got = auto.delta(EMPTY_VALUATION, 0, STOCK)
-        assert got == TransitionDnf((frozenset({(EMPTY_VALUATION, 0)}),))
+        assert got == TransitionDnf(frozenset({frozenset({(EMPTY_VALUATION, 0)})}))
 
     def test_until_fails_when_both_fail(self):
         auto = build_automaton(Until(NO, NO))
@@ -347,7 +337,7 @@ class TestDelta:
         phi = Release(NO, A)
         auto = build_automaton(phi)
         got = auto.delta(EMPTY_VALUATION, 0, STOCK)
-        assert got == TransitionDnf((frozenset({(EMPTY_VALUATION, 0)}),))
+        assert got == TransitionDnf(frozenset({frozenset({(EMPTY_VALUATION, 0)})}))
 
     def test_release_fails_without_right(self):
         auto = build_automaton(Release(A, NO))
@@ -374,9 +364,11 @@ class TestDelta:
         atom = auto.ref_of(Eq(Var("x"), Const("q")))
         got = auto.delta(EMPTY_VALUATION, 0, AB)
         assert got == TransitionDnf(
-            (
-                frozenset({(Valuation((("x", "a"),)), atom)}),
-                frozenset({(Valuation((("x", "b"),)), atom)}),
+            frozenset(
+                {
+                    frozenset({(Valuation((("x", "a"),)), atom)}),
+                    frozenset({(Valuation((("x", "b"),)), atom)}),
+                }
             )
         )
 
@@ -386,13 +378,15 @@ class TestDelta:
         atom = auto.ref_of(Eq(Var("x"), Const("q")))
         got = auto.delta(EMPTY_VALUATION, 0, AB)
         assert got == TransitionDnf(
-            (
-                frozenset(
-                    {
-                        (Valuation((("x", "a"),)), atom),
-                        (Valuation((("x", "b"),)), atom),
-                    }
-                ),
+            frozenset(
+                {
+                    frozenset(
+                        {
+                            (Valuation((("x", "a"),)), atom),
+                            (Valuation((("x", "b"),)), atom),
+                        }
+                    ),
+                }
             )
         )
 

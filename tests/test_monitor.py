@@ -59,7 +59,7 @@ class TestConfigurations:
     def test_initial_holds_exactly_the_initial_obligation(self):
         auto = build_automaton(to_nnf(parse('X "a" = "a"')))
         config = initial_configuration(auto)
-        assert config.dnf.conjuncts == (frozenset({auto.initial}),)
+        assert config.dnf.conjuncts == frozenset({frozenset({auto.initial})})
         assert verdict(config) is Verdict.INCONCLUSIVE
 
     def test_verdict_of_decided_configurations(self):
