@@ -9,7 +9,9 @@ space.  It never touches the automaton machinery.
 lasso_accepts decides acceptance of the compiled automaton through the
 breakpoint (owing-set) construction for alternating automata with a
 Buchi condition, searching the product of canonical positions and
-breakpoint states for a reachable cycle through an accepting edge.
+breakpoint states for a reachable cycle through an accepting edge.  One
+depth-first search finds the strongly connected components while it
+explores the product and stops at the first accepting cycle.
 
 fuzz_compare drives both over a seeded random corpus and reports every
 disagreement; agreement across the corpus is the package's main
@@ -20,8 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .automaton import (
     EMPTY_VALUATION,
     Automaton,
@@ -29,7 +29,6 @@ from .automaton import (
     Obligation,
     Valuation,
     build_automaton,
-    obligation_sort_key,
 )
 from .events import LassoTrace, canonical_position, dom, lasso_to_json, position_message
 from .formula import (
@@ -190,7 +189,12 @@ def lasso_accepts(
     a successor picks one conjunct of each obligation's rewrite and
     unions the picks, and an edge is accepting when the owing set
     empties and restarts.  The trace is accepted iff some reachable
-    cycle contains an accepting edge.
+    cycle contains an accepting edge.  The product is explored on the
+    fly and the search stops at the first such cycle, so state_limit
+    counts the product nodes discovered before the verdict is known: an
+    accepted lasso may be decided before the limit is reached, and
+    ResourceLimitError is raised once more than state_limit nodes have
+    been discovered.
     """
     loop_start = len(trace.prefix)
     count = loop_start + len(trace.loop)
@@ -220,7 +224,7 @@ def lasso_accepts(
         partial: set[tuple[frozenset[Obligation], frozenset[Obligation]]] = {
             (frozenset(), frozenset())
         }
-        for obligation in sorted(obligations, key=obligation_sort_key):
+        for obligation in obligations:
             options = rewrites(position, obligation)
             if not options:
                 return []
@@ -240,28 +244,60 @@ def lasso_accepts(
         return out
 
     initial_set = frozenset({automaton.initial})
-    start = (0, initial_set, owing(initial_set))
-    nodes = {start}
-    edges: list[tuple[object, object, bool]] = []
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for target, accepting_edge in successors(node):
-            edges.append((node, target, accepting_edge))
-            if target not in nodes:
-                nodes.add(target)
-                if len(nodes) > state_limit:
-                    raise ResourceLimitError(len(nodes))
-                frontier.append(target)
+    return _accepting_cycle((0, initial_set, owing(initial_set)), successors, state_limit)
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from((u, v) for u, v, _ in edges)
-    component: dict[object, int] = {}
-    for number, members in enumerate(nx.strongly_connected_components(graph)):
-        for member in members:
-            component[member] = number
-    return any(component[u] == component[v] for u, v, accepting in edges if accepting)
+
+def _accepting_cycle(start, successors, state_limit: int) -> bool:
+    """Whether some cycle reachable from start contains an accepting edge.
+
+    successors(node) yields (target, accepting) pairs.  This is
+    Couvreur's on-the-fly SCC search for edge-labelled Buchi acceptance
+    with a single acceptance set: one iterative DFS finds the strongly
+    connected components as it goes and stops at the first edge that
+    closes a cycle through an accepting edge.  state_limit bounds the
+    number of distinct nodes discovered before the verdict is known.
+    """
+    # DFS number of every node discovered; 0 once its SCC is closed.
+    number = {start: 1}
+    # Nodes of the SCCs still open, in DFS order.
+    active = [start]
+    # Roots of the open SCCs: (DFS number, whether the entering edge is
+    # accepting).  No open SCC holds an accepting edge of its own yet,
+    # or the search would already have stopped.
+    roots = [(1, False)]
+    stack = [(start, iter(successors(start)))]
+    while stack:
+        node, pending = stack[-1]
+        for target, accepting in pending:
+            seen = number.get(target)
+            if seen is None:
+                number[target] = len(number) + 1
+                if len(number) > state_limit:
+                    raise ResourceLimitError(len(number))
+                active.append(target)
+                roots.append((number[target], accepting))
+                stack.append((target, iter(successors(target))))
+                break
+            if seen:
+                # The edge closes a cycle: every open SCC rooted above
+                # target merges into target's SCC, their entering edges
+                # with it.
+                while roots[-1][0] > seen:
+                    accepting |= roots.pop()[1]
+                if accepting:
+                    return True
+        else:
+            stack.pop()
+            if roots[-1][0] == number[node]:
+                roots.pop()
+                while True:
+                    member = active.pop()
+                    number[member] = 0
+                    # node is the very object pushed on active, so
+                    # identity ends the SCC without comparing tuples.
+                    if member is node:
+                        break
+    return False
 
 
 @dataclass(frozen=True)

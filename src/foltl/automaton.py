@@ -97,11 +97,6 @@ class TransitionDnf:
         return not self.conjuncts
 
 
-def obligation_sort_key(obligation: Obligation):
-    valuation, state = obligation
-    return (state, valuation.bindings)
-
-
 def _normalize(conjuncts: Iterable[Conjunct]) -> list[Conjunct]:
     # Visiting by size first makes one subset pass produce the antichain.
     kept: list[Conjunct] = []

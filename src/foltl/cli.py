@@ -154,7 +154,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return int(args.handler(args))
-    except (FormulaError, MalformedInputError, EmptyLoopError, ResourceLimitError, OSError) as err:
+    except (
+        FormulaError,
+        MalformedInputError,
+        EmptyLoopError,
+        ResourceLimitError,
+        OSError,
+        UnicodeDecodeError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return int(ExitStatus.ERROR)
 

@@ -19,7 +19,6 @@ from foltl.automaton import (
     build_automaton,
     dnf_and,
     dnf_or,
-    obligation_sort_key,
 )
 from foltl.events import parse_message
 from foltl.formula import (
@@ -403,7 +402,7 @@ def _reachable(auto, messages):
     seen = []
     for message in messages:
         step: set = set()
-        for valuation, state in sorted(frontier, key=obligation_sort_key):
+        for valuation, state in sorted(frontier, key=lambda o: (o[1], o[0].bindings)):
             dnf = auto.delta(valuation, state, message)
             seen.append(((valuation, state), dnf))
             for conjunct in dnf.conjuncts:

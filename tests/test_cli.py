@@ -96,6 +96,12 @@ class TestMonitor:
         assert main(["monitor", "--formula", WITNESS, "--trace", str(trace)]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_trace_not_utf8_is_an_error_exit(self, tmp_path, capsys):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_bytes(b'\xff\xfe{"m":{}}\n')
+        assert main(["monitor", "--formula", REQ_ACK, "--trace", str(trace)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestAcceptAndOracle:
     @pytest.mark.parametrize(
@@ -112,6 +118,12 @@ class TestAcceptAndOracle:
         lasso.write_text('{"prefix":[],"loop":[]}')
         assert main(["accept", "--formula", REQ_ACK, "--lasso", str(lasso)]) == 3
         assert "loop" in capsys.readouterr().err
+
+    def test_lasso_not_utf8_is_an_error_exit(self, tmp_path, capsys):
+        lasso = tmp_path / "bad.lasso.json"
+        lasso.write_bytes(b'{"prefix":[],"loop":[{"m":{"a":"\xff"}}]}')
+        assert main(["accept", "--formula", REQ_ACK, "--lasso", str(lasso)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_tiny_state_limit_is_a_resource_error(self, capsys):
         code = main(

@@ -172,6 +172,10 @@ class TestFuzz:
         assert report.failures == ()
         assert report.report_lines() == ["AGREE 30/30"]
 
+    def test_deeper_corpus_agrees(self):
+        report = fuzz_compare(42, 200, GenBounds(max_depth=5, max_quantifiers=3))
+        assert report.agreements == 200
+
     def test_report_is_deterministic(self):
         first = fuzz_compare(7, 10)
         second = fuzz_compare(7, 10)
