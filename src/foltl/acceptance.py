@@ -196,12 +196,8 @@ def lasso_accepts(
     ResourceLimitError is raised once more than state_limit nodes have
     been discovered.
     """
-    loop_start = len(trace.prefix)
-    count = loop_start + len(trace.loop)
+    count = len(trace.prefix) + len(trace.loop)
     messages = [position_message(trace, i) for i in range(count)]
-
-    def successor_position(position: int) -> int:
-        return position + 1 if position + 1 < count else loop_start
 
     def owing(obligations: frozenset[Obligation]) -> frozenset[Obligation]:
         return frozenset(o for o in obligations if o[1] not in automaton.accepting)
@@ -234,7 +230,7 @@ def lasso_accepts(
                 for union, carried in partial
                 for pick in options
             }
-        next_position = successor_position(position)
+        next_position = canonical_position(trace, position + 1)
         out = set()
         for union, carried in partial:
             if carried:

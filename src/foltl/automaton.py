@@ -1,15 +1,16 @@
 """Compilation of normal-form formulas into alternating automata.
 
 States are the subformula closure plus two absorbing pits, TOP and
-BOTTOM.  A transition maps an obligation (variable valuation, state)
-and a message to a positive boolean combination of successor
-obligations, built directly in disjunctive normal form: a set of
-conjuncts with no canonical order, none a subset of another.  Atoms
-that hold become the empty conjunct and atoms that fail the empty
-disjunction, so the pits never appear inside a conjunct.  Quantifiers
-expand over the value domain the current message yields for their
-path, so the automaton stays finite-state while valuations live inside
-obligations.
+BOTTOM; the accepting states are the Release members of the closure
+plus TOP, and construction walks the formula once, through subformulas.
+A transition maps an obligation (variable valuation, state) and a
+message to a positive boolean combination of successor obligations,
+built directly in disjunctive normal form: a set of conjuncts with no
+canonical order, none a subset of another.  Atoms that hold become the
+empty conjunct and atoms that fail the empty disjunction, so the pits
+never appear inside a conjunct.  Quantifiers expand over the value
+domain the current message yields for their path, so the automaton
+stays finite-state while valuations live inside obligations.
 """
 from __future__ import annotations
 
@@ -30,9 +31,8 @@ from .formula import (
     Term,
     Until,
     Var,
+    _quote,
     format_formula,
-    is_nnf,
-    quantified_variables,
     subformulas,
 )
 
@@ -140,25 +140,6 @@ def dnf_and(dnfs: Iterable[TransitionDnf]) -> TransitionDnf:
     return TransitionDnf(frozenset(_conjoin(d.conjuncts for d in dnfs)))
 
 
-def accepting_formulas(formula: Formula) -> frozenset[Formula]:
-    """States that may recur forever: every Release, nothing else.
-
-    Atoms defer to the TOP pit (added by the builder), X and the
-    quantifiers inherit from the body, binary connectives and Until
-    union their operands, and Release additionally admits itself.
-    """
-    match formula:
-        case Eq() | Neq():
-            return frozenset()
-        case Next(body) | Exists(_, _, body) | Forall(_, _, body):
-            return accepting_formulas(body)
-        case And(left, right) | Or(left, right) | Until(left, right):
-            return accepting_formulas(left) | accepting_formulas(right)
-        case Release(left, right):
-            return accepting_formulas(left) | accepting_formulas(right) | {formula}
-    raise ValueError("accepting set is defined on negation normal form only")
-
-
 class _Pit:
     __slots__ = ("label",)
 
@@ -182,8 +163,6 @@ class Automaton:
     """
 
     def __init__(self, source: Formula):
-        if not is_nnf(source):
-            raise ValueError("automaton construction requires negation normal form")
         closure = subformulas(source)
         self.source = source
         self.states: tuple[Formula | _Pit, ...] = (*closure, TOP, BOTTOM)
@@ -191,9 +170,9 @@ class Automaton:
         self.bottom = len(closure) + 1
         self._refs = {f: i for i, f in enumerate(closure)}
         self.accepting = frozenset(
-            self._refs[f] for f in accepting_formulas(source)
+            ref for ref, f in enumerate(closure) if isinstance(f, Release)
         ) | {self.top}
-        self.variables = quantified_variables(source)
+        self.variables = frozenset(f.var for f in closure if isinstance(f, (Exists, Forall)))
         self.initial: Obligation = (EMPTY_VALUATION, self._refs[source])
 
     def ref_of(self, formula: Formula) -> int:
@@ -250,13 +229,10 @@ class Automaton:
         raise ValueError(f"no transition rule for {f!r}")
 
     def to_dot(self) -> str:
-        def quote(text: str) -> str:
-            return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
         lines = ["digraph automaton {", "  rankdir=LR;", '  entry [shape=point, label=""];']
         for ref in range(len(self.states)):
             shape = "doublecircle" if ref in self.accepting else "circle"
-            lines.append(f"  s{ref} [shape={shape}, label={quote(self.state_label(ref))}];")
+            lines.append(f"  s{ref} [shape={shape}, label={_quote(self.state_label(ref))}];")
         lines.append(f"  entry -> s{self.initial[1]};")
         lines.append("}")
         return "\n".join(lines)

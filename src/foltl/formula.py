@@ -5,6 +5,11 @@ per-message quantifiers: ``exists x in "/root/elem" : body`` binds ``x``
 to each value the quoted path extracts from the current message, and
 ``forall`` is its dual.  Atoms compare two terms, where a term is a
 quantifier-bound variable or a double-quoted string constant.
+
+``children`` is the one structural walk: every pass that needs only the
+shape of the tree (normal-form test, measures, free variables, closure,
+scoping) recurses through it.  ``to_nnf`` and ``format_formula`` match
+each node kind explicitly, because they state its meaning.
 """
 from __future__ import annotations
 
@@ -229,19 +234,26 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
+MAX_NESTING = 100
+_UNARY = {"G": Globally, "F": Finally, "X": Next, "!": Not}
+
+
 class Parser:
     """Recursive descent over the token stream.
 
     Precedence, tightest first: unary operators and quantifiers, then
     U and R (right associative, one level), then &, then |, then ->
-    (right associative).  Scope is tracked so unbound and shadowed
-    variables are rejected during the parse itself.
+    (right associative).  Every operator and every parenthesis opens one
+    nesting level for what it governs; more than MAX_NESTING levels on
+    one branch is a syntax error, so no later recursive pass over the
+    tree can run out of stack.  Variable scoping is checked after the
+    parse, by ensure_well_formed.
     """
 
     def __init__(self, source: str):
         self._tokens = _tokenize(source)
         self._pos = 0
-        self._scope: list[str] = []
+        self._depth = 0
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -257,6 +269,15 @@ class Parser:
             raise FormulaSyntaxError(tok.position, f"'{kind}'", found=tok.text or "end of input")
         return self._advance()
 
+    def _nested(self, opener: _Token, parse):
+        """parse() one nesting level below the operator or '(' at opener."""
+        if self._depth == MAX_NESTING:
+            raise FormulaSyntaxError(opener.position, f"at most {MAX_NESTING} nested operators", opener.text)
+        self._depth += 1
+        result = parse()
+        self._depth -= 1
+        return result
+
     def parse(self) -> Formula:
         formula = self._formula()
         tok = self._peek()
@@ -267,60 +288,41 @@ class Parser:
     def _formula(self) -> Formula:
         left = self._disjunction()
         if self._peek().kind == "->":
-            self._advance()
-            return Implies(left, self._formula())
+            return Implies(left, self._nested(self._advance(), self._formula))
         return left
 
     def _disjunction(self) -> Formula:
         left = self._conjunction()
         if self._peek().kind == "|":
-            self._advance()
-            return Or(left, self._disjunction())
+            return Or(left, self._nested(self._advance(), self._disjunction))
         return left
 
     def _conjunction(self) -> Formula:
         left = self._temporal()
         if self._peek().kind == "&":
-            self._advance()
-            return And(left, self._conjunction())
+            return And(left, self._nested(self._advance(), self._conjunction))
         return left
 
     def _temporal(self) -> Formula:
         left = self._unary()
         kind = self._peek().kind
         if kind == "U":
-            self._advance()
-            return Until(left, self._temporal())
+            return Until(left, self._nested(self._advance(), self._temporal))
         if kind == "R":
-            self._advance()
-            return Release(left, self._temporal())
+            return Release(left, self._nested(self._advance(), self._temporal))
         return left
 
     def _unary(self) -> Formula:
         tok = self._peek()
-        if tok.kind == "G":
-            self._advance()
-            return Globally(self._unary())
-        if tok.kind == "F":
-            self._advance()
-            return Finally(self._unary())
-        if tok.kind == "X":
-            self._advance()
-            return Next(self._unary())
-        if tok.kind == "!":
-            self._advance()
-            return Not(self._unary())
+        if tok.kind in _UNARY:
+            return _UNARY[tok.kind](self._nested(self._advance(), self._unary))
         if tok.kind in ("exists", "forall"):
             self._advance()
             name = self._expect("IDENT").text
-            if name in self._scope:
-                raise ShadowedVariableError(name)
             self._expect("in")
             path = self._path()
             self._expect(":")
-            self._scope.append(name)
-            body = self._unary()
-            self._scope.pop()
+            body = self._nested(tok, self._unary)
             return Exists(name, path, body) if tok.kind == "exists" else Forall(name, path, body)
         return self._atom()
 
@@ -334,8 +336,7 @@ class Parser:
     def _atom(self) -> Formula:
         tok = self._peek()
         if tok.kind == "(":
-            self._advance()
-            inner = self._formula()
+            inner = self._nested(self._advance(), self._formula)
             self._expect(")")
             return inner
         if tok.kind == "true":
@@ -358,8 +359,6 @@ class Parser:
         tok = self._peek()
         if tok.kind == "IDENT":
             self._advance()
-            if tok.text not in self._scope:
-                raise UnboundVariableError(tok.text)
             return Var(tok.text)
         if tok.kind == "STRING":
             self._advance()
@@ -368,8 +367,10 @@ class Parser:
 
 
 def parse(source: str) -> Formula:
-    """Parse one formula; the result is well formed by construction."""
-    return Parser(source).parse()
+    """Parse one formula and check that it is well formed."""
+    formula = Parser(source).parse()
+    ensure_well_formed(formula)
+    return formula
 
 
 def _quote(value: str) -> str:
@@ -490,92 +491,52 @@ def negate(formula: Formula) -> Formula:
     return to_nnf(Not(formula))
 
 
-def is_nnf(formula: Formula) -> bool:
+def children(formula: Formula) -> tuple[Formula, ...]:
+    """Direct subformulas, left to right; () for atoms and literals.
+
+    The one structural dispatch over node kinds: every pass that needs
+    only the shape of the tree walks it through here.
+    """
     match formula:
-        case Eq() | Neq():
-            return True
-        case And(left, right) | Or(left, right) | Until(left, right) | Release(left, right):
-            return is_nnf(left) and is_nnf(right)
-        case Next(body) | Exists(_, _, body) | Forall(_, _, body):
-            return is_nnf(body)
-        case _:
-            return False
+        case TrueLit() | FalseLit() | Eq() | Neq():
+            return ()
+        case Not(body) | Next(body) | Finally(body) | Globally(body):
+            return (body,)
+        case Exists(_, _, body) | Forall(_, _, body):
+            return (body,)
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            return (left, right)
+        case Until(left, right) | Release(left, right):
+            return (left, right)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+_NNF_KINDS = (Eq, Neq, And, Or, Next, Until, Release, Exists, Forall)
+_TEMPORAL_KINDS = (Next, Finally, Globally, Until, Release)
+
+
+def is_nnf(formula: Formula) -> bool:
+    return isinstance(formula, _NNF_KINDS) and all(map(is_nnf, children(formula)))
 
 
 def temporal_depth(formula: Formula) -> int:
     """Largest number of temporal operators on any root-to-leaf branch."""
-    match formula:
-        case TrueLit() | FalseLit() | Eq() | Neq():
-            return 0
-        case Not(body) | Exists(_, _, body) | Forall(_, _, body):
-            return temporal_depth(body)
-        case Next(body) | Finally(body) | Globally(body):
-            return 1 + temporal_depth(body)
-        case And(left, right) | Or(left, right) | Implies(left, right):
-            return max(temporal_depth(left), temporal_depth(right))
-        case Until(left, right) | Release(left, right):
-            return 1 + max(temporal_depth(left), temporal_depth(right))
-    raise TypeError(f"not a formula: {formula!r}")
+    below = max(map(temporal_depth, children(formula)), default=0)
+    return below + 1 if isinstance(formula, _TEMPORAL_KINDS) else below
 
 
 def node_count(formula: Formula) -> int:
     """Number of formula nodes; terms do not count."""
-    match formula:
-        case TrueLit() | FalseLit() | Eq() | Neq():
-            return 1
-        case Not(body) | Next(body) | Finally(body) | Globally(body):
-            return 1 + node_count(body)
-        case Exists(_, _, body) | Forall(_, _, body):
-            return 1 + node_count(body)
-        case (
-            And(left, right)
-            | Or(left, right)
-            | Implies(left, right)
-            | Until(left, right)
-            | Release(left, right)
-        ):
-            return 1 + node_count(left) + node_count(right)
-    raise TypeError(f"not a formula: {formula!r}")
+    return 1 + sum(map(node_count, children(formula)))
 
 
 def free_variables(formula: Formula) -> frozenset[str]:
     match formula:
-        case TrueLit() | FalseLit():
-            return frozenset()
         case Eq(left, right) | Neq(left, right):
             return frozenset(t.name for t in (left, right) if isinstance(t, Var))
-        case Not(body) | Next(body) | Finally(body) | Globally(body):
-            return free_variables(body)
-        case (
-            And(left, right)
-            | Or(left, right)
-            | Implies(left, right)
-            | Until(left, right)
-            | Release(left, right)
-        ):
-            return free_variables(left) | free_variables(right)
         case Exists(var, _, body) | Forall(var, _, body):
             return free_variables(body) - {var}
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def quantified_variables(formula: Formula) -> frozenset[str]:
-    match formula:
-        case TrueLit() | FalseLit() | Eq() | Neq():
-            return frozenset()
-        case Not(body) | Next(body) | Finally(body) | Globally(body):
-            return quantified_variables(body)
-        case (
-            And(left, right)
-            | Or(left, right)
-            | Implies(left, right)
-            | Until(left, right)
-            | Release(left, right)
-        ):
-            return quantified_variables(left) | quantified_variables(right)
-        case Exists(var, _, body) | Forall(var, _, body):
-            return quantified_variables(body) | {var}
-    raise TypeError(f"not a formula: {formula!r}")
+    return frozenset().union(*map(free_variables, children(formula)))
 
 
 def subformulas(formula: Formula) -> list[Formula]:
@@ -591,45 +552,30 @@ def subformulas(formula: Formula) -> list[Formula]:
     def walk(f: Formula) -> None:
         if f in seen:
             return
+        if not isinstance(f, _NNF_KINDS):
+            raise ValueError("subformula closure is defined on negation normal form only")
         seen[f] = None
-        match f:
-            case Eq() | Neq():
-                pass
-            case And(left, right) | Or(left, right) | Until(left, right) | Release(left, right):
-                walk(left)
-                walk(right)
-            case Next(body) | Exists(_, _, body) | Forall(_, _, body):
-                walk(body)
-            case _:
-                raise ValueError("subformula closure is defined on negation normal form only")
+        for child in children(f):
+            walk(child)
 
     walk(formula)
     return list(seen)
 
 
 def ensure_well_formed(formula: Formula, scope: frozenset[str] = frozenset()) -> None:
-    """Raise unless every variable is bound exactly once on its branch."""
+    """Raise unless every variable is bound exactly once on its branch.
+
+    Violations are reported in text order: a quantifier before its body,
+    a left operand before the right one.
+    """
     match formula:
-        case TrueLit() | FalseLit():
-            return
         case Eq(left, right) | Neq(left, right):
             for term in (left, right):
                 if isinstance(term, Var) and term.name not in scope:
                     raise UnboundVariableError(term.name)
-        case Not(body) | Next(body) | Finally(body) | Globally(body):
-            ensure_well_formed(body, scope)
-        case (
-            And(left, right)
-            | Or(left, right)
-            | Implies(left, right)
-            | Until(left, right)
-            | Release(left, right)
-        ):
-            ensure_well_formed(left, scope)
-            ensure_well_formed(right, scope)
-        case Exists(var, _, body) | Forall(var, _, body):
+        case Exists(var, _, _) | Forall(var, _, _):
             if var in scope:
                 raise ShadowedVariableError(var)
-            ensure_well_formed(body, scope | {var})
-        case _:
-            raise TypeError(f"not a formula: {formula!r}")
+            scope = scope | {var}
+    for child in children(formula):
+        ensure_well_formed(child, scope)

@@ -33,6 +33,7 @@ from .formula import (
     TrueLit,
     Until,
     Var,
+    is_nnf,
 )
 
 VALUES = ("a", "b", "c", "d", "e")
@@ -96,21 +97,8 @@ def gen_sugared_formula(rng: random.Random, bounds: GenBounds) -> Formula:
     """A formula guaranteed to use at least one lowered connective."""
     while True:
         formula = gen_formula(rng, bounds)
-        if uses_sugar(formula):
+        if not is_nnf(formula):
             return formula
-
-
-def uses_sugar(formula: Formula) -> bool:
-    match formula:
-        case TrueLit() | FalseLit() | Not() | Implies() | Finally() | Globally():
-            return True
-        case Eq() | Neq():
-            return False
-        case Next(body) | Exists(_, _, body) | Forall(_, _, body):
-            return uses_sugar(body)
-        case And(l, r) | Or(l, r) | Until(l, r) | Release(l, r):
-            return uses_sugar(l) or uses_sugar(r)
-    raise TypeError(f"not a formula: {formula!r}")
 
 
 def _gen_term(rng: random.Random, scope: tuple[str, ...], values: tuple[str, ...]) -> Term:

@@ -17,6 +17,7 @@ from foltl.formula import (
     Implies,
     Not,
     Path,
+    children,
     negate,
     parse,
     to_nnf,
@@ -73,28 +74,7 @@ def test_criterion_3_state_bound(corpus):
 
 
 def _connectives(formula):
-    from foltl.formula import And, Exists, Forall, Next, Or, Release, Until
-
-    kinds = {type(formula)}
-    match formula:
-        case (
-            Not(body)
-            | Next(body)
-            | Finally(body)
-            | Globally(body)
-            | Exists(_, _, body)
-            | Forall(_, _, body)
-        ):
-            kinds |= _connectives(body)
-        case (
-            And(left, right)
-            | Or(left, right)
-            | Implies(left, right)
-            | Until(left, right)
-            | Release(left, right)
-        ):
-            kinds |= _connectives(left) | _connectives(right)
-    return kinds
+    return {type(formula)}.union(*map(_connectives, children(formula)))
 
 
 def test_criterion_4_rewrite_transparency():

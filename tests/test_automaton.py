@@ -15,7 +15,6 @@ from foltl.automaton import (
     TransitionDnf,
     UndefinedVariableError,
     Valuation,
-    accepting_formulas,
     build_automaton,
     dnf_and,
     dnf_or,
@@ -237,12 +236,13 @@ class TestAcceptingSets:
 
     def test_nested_release_inside_until(self):
         inner = Release(A, B)
-        phi = Until(A, inner)
-        assert accepting_formulas(phi) == {inner}
+        auto = build_automaton(Until(A, inner))
+        assert auto.accepting == {auto.ref_of(inner), auto.top}
 
     def test_rejects_non_normal_form(self):
+        # Sugar below the root, inside the Release whose state would accept.
         with pytest.raises(ValueError):
-            accepting_formulas(Not(A))
+            build_automaton(Release(A, Not(B)))
 
 
 class TestConstruction:

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import DATA
 from foltl.cli import ExitStatus, build_parser, load_formula, main
-from foltl.formula import Exists, Release, parse
+from foltl.formula import MAX_NESTING, Exists, Release, parse
 
 REQ_ACK = str(DATA / "request_ack.ltl")
 SAFETY = str(DATA / "safety.ltl")
@@ -131,6 +131,44 @@ class TestAcceptAndOracle:
         )
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+
+ATOM = '"a" = "a"'
+NESTED = {
+    "next": lambda n: "X " * n + ATOM,
+    "and": lambda n: " & ".join([ATOM] * (n + 1)),
+    "parentheses": lambda n: "(" * n + ATOM + ")" * n,
+}
+
+
+def _run_all_commands(tmp_path, formula_text):
+    formula = tmp_path / "deep.ltl"
+    formula.write_text(formula_text)
+    commands = (
+        ["compile", "--stats"],
+        ["monitor", "--trace", MIXED],
+        ["accept", "--lasso", GOOD],
+        ["oracle", "--lasso", GOOD],
+    )
+    return [main([name, "--formula", str(formula), *rest]) for name, *rest in commands]
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("shape,depth", [("next", 3000), ("and", 3000), ("parentheses", 200)])
+    def test_too_deep_is_an_error_exit(self, tmp_path, capsys, shape, depth):
+        assert _run_all_commands(tmp_path, NESTED[shape](depth)) == [3, 3, 3, 3]
+        err = capsys.readouterr().err
+        assert err.count("error:") == 4
+        assert f"at most {MAX_NESTING} nested operators" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_exactly_at_the_cap_runs_every_command(self, tmp_path, capsys, shape):
+        compiled, monitored, accepted, oracle = _run_all_commands(tmp_path, NESTED[shape](MAX_NESTING))
+        assert compiled == 0
+        assert monitored in (0, 1, 2)
+        assert accepted == oracle == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestFuzz:

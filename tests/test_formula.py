@@ -4,6 +4,7 @@ from hypothesis import given
 import strategies
 from foltl.formula import (
     FALSE_ATOM,
+    MAX_NESTING,
     TRUE_ATOM,
     And,
     Const,
@@ -26,6 +27,7 @@ from foltl.formula import (
     UnboundVariableError,
     Until,
     Var,
+    children,
     ensure_well_formed,
     format_formula,
     free_variables,
@@ -136,9 +138,59 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError):
             parse('"a" - "b"')
 
+    def test_nesting_at_the_cap_parses(self):
+        assert temporal_depth(parse("X " * MAX_NESTING + '"a" = "a"')) == MAX_NESTING
+        assert node_count(parse("(" * MAX_NESTING + '"a" = "a"' + ")" * MAX_NESTING)) == 1
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("X " * (MAX_NESTING + 1) + '"a" = "a"', 2 * MAX_NESTING),
+            ("(" * (MAX_NESTING + 1) + '"a" = "a"' + ")" * (MAX_NESTING + 1), MAX_NESTING),
+            (" & ".join(['"a" = "a"'] * (MAX_NESTING + 2)), 12 * MAX_NESTING + 10),
+            ('exists x in "/m/a" : ' * (MAX_NESTING + 1) + 'x = "v"', 21 * MAX_NESTING),
+        ],
+    )
+    def test_nesting_beyond_the_cap_is_a_syntax_error(self, text, position):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert err.value.position == position
+        assert str(MAX_NESTING) in err.value.expected
+
+    def test_nesting_counts_one_branch_not_the_whole_text(self):
+        # The right operand sits one level below the &, the left one is
+        # parsed before the & is seen.
+        deep = "X " * (MAX_NESTING - 1) + '"a" = "a"'
+        assert isinstance(parse(f"{deep} & {deep}"), And)
+
+    def test_syntax_error_reported_before_scope_error(self):
+        with pytest.raises(FormulaSyntaxError):
+            parse('x = "v" &')
+
     @given(strategies.formulas())
     def test_round_trip_through_text(self, formula):
         assert parse(format_formula(formula)) == formula
+
+
+class TestChildren:
+    def test_leaves_have_none(self):
+        for leaf in (TrueLit(), FalseLit(), A, Neq(Var("x"), Const("v"))):
+            assert children(leaf) == ()
+
+    def test_unary_nodes_yield_the_body(self):
+        path = Path(("m", "a"))
+        for node in (Not(A), Next(A), Finally(A), Globally(A), Exists("x", path, A), Forall("x", path, A)):
+            assert children(node) == (A,)
+
+    def test_binary_nodes_yield_left_then_right(self):
+        for ctor in (And, Or, Implies, Until, Release):
+            assert children(ctor(A, B)) == (A, B)
+
+    def test_rejects_non_formula(self):
+        with pytest.raises(TypeError):
+            children(Var("x"))
+        with pytest.raises(TypeError):
+            children("x = y")
 
 
 class TestNormalForm:
@@ -197,6 +249,10 @@ class TestNormalForm:
     @given(strategies.formulas())
     def test_output_is_normal_form(self, formula):
         assert is_nnf(to_nnf(formula))
+
+    @given(strategies.formulas())
+    def test_normal_form_is_the_fixed_point_of_lowering(self, formula):
+        assert is_nnf(formula) == (to_nnf(formula) == formula)
 
     @given(strategies.formulas())
     def test_idempotent(self, formula):
