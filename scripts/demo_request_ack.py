@@ -41,7 +41,7 @@ def main() -> None:
 
     print("monitoring the finite trace:")
     configuration = initial_configuration(automaton)
-    for index, message in enumerate(load_trace(TRACE).messages):
+    for index, message in enumerate(load_trace(TRACE)):
         configuration = step(automaton, configuration, message)
         obligations = sum(len(c) for c in configuration.dnf.conjuncts)
         print(f"  message {index}: {verdict(configuration)} ({obligations} open obligations)")

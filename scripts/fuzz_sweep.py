@@ -29,9 +29,9 @@ def run_cell(seed: int, count: int, depth: int, quantifiers: int) -> tuple[bool,
         f"{depth:>5} {quantifiers:>5} {report.agreements:>5}/{len(report.cases):<3}"
         f" {sizes:>22} {report.total_seconds:>7.2f}s"
     )
-    clean = report.agreements == len(report.cases)
+    clean = not report.failures and not report.limits
     if not clean:
-        row += "  <- disagreement"
+        row += "  <- disagreement" if report.failures else "  <- over the state limit"
     return clean, row
 
 

@@ -24,13 +24,10 @@ from .automaton import (
     build_automaton,
 )
 from .events import (
-    Element,
     EmptyLoopError,
     LassoTrace,
-    Leaf,
     MalformedInputError,
     Message,
-    Trace,
     dom,
     load_lasso,
     load_trace,

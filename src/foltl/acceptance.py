@@ -298,18 +298,20 @@ def _accepting_cycle(start, successors, state_limit: int) -> bool:
 
 @dataclass(frozen=True)
 class FuzzCase:
+    """One corpus case; limit_states > 0 marks a search stopped at the state limit."""
+
     index: int
     formula: Formula
     trace: LassoTrace
-    automaton_result: bool
-    oracle_result: bool
+    automaton_result: bool | None
+    oracle_result: bool | None
     state_count: int
     node_count: int
-    seconds: float
+    limit_states: int = 0
 
     @property
     def agree(self) -> bool:
-        return self.automaton_result == self.oracle_result
+        return not self.limit_states and self.automaton_result == self.oracle_result
 
 
 @dataclass(frozen=True)
@@ -325,21 +327,27 @@ class FuzzReport:
 
     @property
     def failures(self) -> tuple[FuzzCase, ...]:
-        return tuple(case for case in self.cases if not case.agree)
+        return tuple(case for case in self.cases if not case.agree and not case.limit_states)
+
+    @property
+    def limits(self) -> tuple[FuzzCase, ...]:
+        return tuple(case for case in self.cases if case.limit_states)
 
     def report_lines(self) -> list[str]:
-        """Deterministic report: one FAIL line per case, then AGREE."""
-        lines = [
-            "FAIL {} {} {} automaton={} oracle={}".format(
-                case.index,
-                format_formula(case.formula),
-                lasso_to_json(case.trace),
-                str(case.automaton_result).lower(),
-                str(case.oracle_result).lower(),
-            )
-            for case in self.failures
-        ]
-        lines.append(f"AGREE {self.agreements}/{len(self.cases)}")
+        """Deterministic report: FAIL and LIMIT lines in case order, then AGREE over decided cases."""
+        lines = []
+        for case in self.cases:
+            if case.agree:
+                continue
+            text = f"{case.index} {format_formula(case.formula)} {lasso_to_json(case.trace)}"
+            if case.limit_states:
+                lines.append(f"LIMIT {text} states={case.limit_states}")
+            else:
+                lines.append(
+                    f"FAIL {text} automaton={str(case.automaton_result).lower()}"
+                    f" oracle={str(case.oracle_result).lower()}"
+                )
+        lines.append(f"AGREE {self.agreements}/{len(self.cases) - len(self.limits)}")
         return lines
 
     def stats_lines(self) -> list[str]:
@@ -368,9 +376,14 @@ def fuzz_compare(
         trace = gen_lasso(rng, bounds)
         normal = to_nnf(formula)
         automaton = build_automaton(normal)
-        case_started = time.perf_counter()
-        automaton_result = lasso_accepts(automaton, trace, state_limit)
-        oracle_result = oracle_eval(EMPTY_VALUATION, normal, trace, 0)
+        automaton_result = oracle_result = None
+        limit_states = 0
+        try:
+            automaton_result = lasso_accepts(automaton, trace, state_limit)
+        except ResourceLimitError as err:
+            limit_states = err.states
+        else:
+            oracle_result = oracle_eval(EMPTY_VALUATION, normal, trace, 0)
         cases.append(
             FuzzCase(
                 index=index,
@@ -380,7 +393,7 @@ def fuzz_compare(
                 oracle_result=oracle_result,
                 state_count=len(automaton.states),
                 node_count=node_count(normal),
-                seconds=time.perf_counter() - case_started,
+                limit_states=limit_states,
             )
         )
     return FuzzReport(

@@ -111,7 +111,9 @@ def cmd_fuzz(args) -> ExitStatus:
         print(line)
     for line in report.stats_lines():
         print(line, file=sys.stderr)
-    return ExitStatus.TRUE if report.agreements == len(report.cases) else ExitStatus.FALSE
+    if report.failures:
+        return ExitStatus.FALSE
+    return ExitStatus.ERROR if report.limits else ExitStatus.TRUE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,6 +165,9 @@ def main(argv: list[str] | None = None) -> int:
         UnicodeDecodeError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
+        return int(ExitStatus.ERROR)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return int(ExitStatus.ERROR)
 
 

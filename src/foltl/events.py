@@ -1,9 +1,11 @@
 """Tree-structured messages, traces, and path-based value extraction.
 
-A message is an ordered tree: each node is an element with a name and
-child nodes, or a text leaf, never both.  Traces are finite message
-sequences serialized as JSON Lines; a lasso trace is a finite prefix
-plus a nonempty loop repeated forever.
+A message is one decoded JSON object with a single root key, and that
+object is already the tree the formulas speak about: object keys are
+steps, an array repeats its key once per item, and strings are the
+only values.  A finite trace is a tuple of messages, read from JSON
+Lines; a lasso trace is a finite prefix plus a nonempty loop repeated
+forever.
 """
 from __future__ import annotations
 
@@ -27,30 +29,10 @@ class EmptyLoopError(ValueError):
 
 
 @dataclass(frozen=True)
-class Leaf:
-    text: str
-
-
-@dataclass(frozen=True)
-class Element:
-    name: str
-    children: tuple[Element | Leaf, ...] = ()
-
-
-Node = Element | Leaf
-
-
-@dataclass(frozen=True)
 class Message:
-    root: Element
+    """A decoded JSON object, checked by message_from_obj and never mutated."""
 
-
-@dataclass(frozen=True)
-class Trace:
-    messages: tuple[Message, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.messages)
+    obj: dict
 
 
 @dataclass(frozen=True)
@@ -79,86 +61,53 @@ def position_message(trace: LassoTrace, index: int) -> Message:
     return trace.prefix[pos] if pos < k else trace.loop[pos - k]
 
 
-def _is_text_only(element: Element) -> bool:
-    return len(element.children) == 1 and isinstance(element.children[0], Leaf)
-
-
 def dom(message: Message, path: Path) -> frozenset[str]:
-    """Values of text-only elements reached by the path, duplicate free.
+    """String values reached by the path, duplicate free.
 
-    The first segment must equal the root element's name; each further
-    segment steps to children with that name.  An element contributes
-    its text only when its entire child list is a single leaf.  A path
-    that matches nothing yields the empty set.
+    The first segment must equal the root key; each further segment
+    looks that key up in every object reached, and an array counts as
+    its items.  Only strings are values.  A path that matches nothing
+    yields the empty set.
     """
-    if message.root.name != path.segments[0]:
+    ((root, value),) = message.obj.items()
+    if root != path.segments[0]:
         return frozenset()
-    nodes: list[Element] = [message.root]
+    nodes = value if isinstance(value, list) else [value]
     for segment in path.segments[1:]:
-        nodes = [
-            child
-            for node in nodes
-            for child in node.children
-            if isinstance(child, Element) and child.name == segment
-        ]
-    return frozenset(node.children[0].text for node in nodes if _is_text_only(node))
+        reached = []
+        for node in nodes:
+            if isinstance(node, dict) and segment in node:
+                child = node[segment]
+                if isinstance(child, list):
+                    reached.extend(child)
+                else:
+                    reached.append(child)
+        nodes = reached
+    return frozenset(node for node in nodes if isinstance(node, str))
 
 
-def _element_from_obj(name: str, value: object, line: int) -> tuple[Element, ...]:
-    if isinstance(value, str):
-        return (Element(name, (Leaf(value),)),)
+def _check_value(name: str, value: object, line: int) -> None:
     if isinstance(value, dict):
-        children: list[Element] = []
         for key, sub in value.items():
-            children.extend(_element_from_obj(key, sub, line))
-        return (Element(name, tuple(children)),)
-    if isinstance(value, list):
-        out: list[Element] = []
+            _check_value(key, sub, line)
+    elif isinstance(value, list):
         for item in value:
             if not isinstance(item, (str, dict)):
                 raise MalformedInputError(line, f"array items under {name!r} must be strings or objects")
-            out.extend(_element_from_obj(name, item, line))
-        return tuple(out)
-    raise MalformedInputError(line, f"value under {name!r} must be a string, object, or array")
+            _check_value(name, item, line)
+    elif not isinstance(value, str):
+        raise MalformedInputError(line, f"value under {name!r} must be a string, object, or array")
 
 
 def message_from_obj(obj: object, line: int = 0) -> Message:
-    """Build a message from one decoded JSON object."""
+    """Check one decoded JSON object and wrap it, without copying."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedInputError(line, "message must be an object with exactly one root key")
     ((name, value),) = obj.items()
-    elements = _element_from_obj(name, value, line)
-    if len(elements) != 1:
+    _check_value(name, value, line)
+    if isinstance(value, list) and len(value) != 1:
         raise MalformedInputError(line, "root element cannot repeat")
-    return Message(elements[0])
-
-
-def message_to_obj(message: Message) -> dict:
-    """Inverse of message_from_obj for JSON-expressible trees.
-
-    Runs of same-named sibling elements become arrays; a name occurring
-    in two separate runs has no JSON object encoding and is rejected.
-    """
-    return {message.root.name: _element_to_value(message.root)}
-
-
-def _element_to_value(element: Element):
-    if _is_text_only(element):
-        return element.children[0].text
-    out: dict[str, object] = {}
-    runs: list[tuple[str, list]] = []
-    for child in element.children:
-        if isinstance(child, Leaf):
-            raise ValueError("mixed leaf and element children are not JSON expressible")
-        if runs and runs[-1][0] == child.name:
-            runs[-1][1].append(_element_to_value(child))
-        else:
-            runs.append((child.name, [_element_to_value(child)]))
-    for name, values in runs:
-        if name in out:
-            raise ValueError(f"sibling runs of {name!r} are not adjacent, no JSON object encoding")
-        out[name] = values[0] if len(values) == 1 else values
-    return out
+    return Message(obj)
 
 
 def parse_message(text: str, line: int = 0) -> Message:
@@ -178,8 +127,8 @@ def iter_messages(lines: Iterable[str]) -> Iterator[Message]:
         yield parse_message(stripped, line=number)
 
 
-def load_trace(text: str) -> Trace:
-    return Trace(tuple(iter_messages(text.splitlines())))
+def load_trace(text: str) -> tuple[Message, ...]:
+    return tuple(iter_messages(text.splitlines()))
 
 
 def load_lasso(text: str) -> LassoTrace:
@@ -188,10 +137,6 @@ def load_lasso(text: str) -> LassoTrace:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise MalformedInputError(0, f"invalid JSON: {err.msg}") from err
-    return lasso_from_obj(obj)
-
-
-def lasso_from_obj(obj: object) -> LassoTrace:
     if not isinstance(obj, dict):
         raise MalformedInputError(0, "lasso must be a JSON object")
     unknown = set(obj) - {"prefix", "loop"}
@@ -209,12 +154,8 @@ def lasso_from_obj(obj: object) -> LassoTrace:
     )
 
 
-def lasso_to_obj(trace: LassoTrace) -> dict:
-    return {
-        "prefix": [message_to_obj(m) for m in trace.prefix],
-        "loop": [message_to_obj(m) for m in trace.loop],
-    }
-
-
 def lasso_to_json(trace: LassoTrace) -> str:
-    return json.dumps(lasso_to_obj(trace), separators=(",", ":"))
+    return json.dumps(
+        {"prefix": [m.obj for m in trace.prefix], "loop": [m.obj for m in trace.loop]},
+        separators=(",", ":"),
+    )

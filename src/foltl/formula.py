@@ -236,6 +236,9 @@ def _tokenize(source: str) -> list[_Token]:
 
 MAX_NESTING = 100
 _UNARY = {"G": Globally, "F": Finally, "X": Next, "!": Not}
+# Binary precedence levels, loosest first; every level is right associative.
+_INFIX = ({"->": Implies}, {"|": Or}, {"&": And}, {"U": Until, "R": Release})
+_SYMBOL = {kind: symbol for table in (_UNARY, *_INFIX) for symbol, kind in table.items()}
 
 
 class Parser:
@@ -269,48 +272,29 @@ class Parser:
             raise FormulaSyntaxError(tok.position, f"'{kind}'", found=tok.text or "end of input")
         return self._advance()
 
-    def _nested(self, opener: _Token, parse):
-        """parse() one nesting level below the operator or '(' at opener."""
+    def _nested(self, opener: _Token, parse, *args):
+        """parse(*args) one nesting level below the operator or '(' at opener."""
         if self._depth == MAX_NESTING:
             raise FormulaSyntaxError(opener.position, f"at most {MAX_NESTING} nested operators", opener.text)
         self._depth += 1
-        result = parse()
+        result = parse(*args)
         self._depth -= 1
         return result
 
     def parse(self) -> Formula:
-        formula = self._formula()
+        formula = self._binary(0)
         tok = self._peek()
         if tok.kind != "EOF":
             raise FormulaSyntaxError(tok.position, "end of input", found=tok.text)
         return formula
 
-    def _formula(self) -> Formula:
-        left = self._disjunction()
-        if self._peek().kind == "->":
-            return Implies(left, self._nested(self._advance(), self._formula))
-        return left
-
-    def _disjunction(self) -> Formula:
-        left = self._conjunction()
-        if self._peek().kind == "|":
-            return Or(left, self._nested(self._advance(), self._disjunction))
-        return left
-
-    def _conjunction(self) -> Formula:
-        left = self._temporal()
-        if self._peek().kind == "&":
-            return And(left, self._nested(self._advance(), self._conjunction))
-        return left
-
-    def _temporal(self) -> Formula:
-        left = self._unary()
-        kind = self._peek().kind
-        if kind == "U":
-            return Until(left, self._nested(self._advance(), self._temporal))
-        if kind == "R":
-            return Release(left, self._nested(self._advance(), self._temporal))
-        return left
+    def _binary(self, level: int) -> Formula:
+        """One precedence level of _INFIX, with its right operand at the same level."""
+        left = self._binary(level + 1) if level + 1 < len(_INFIX) else self._unary()
+        kind = _INFIX[level].get(self._peek().kind)
+        if kind is None:
+            return left
+        return kind(left, self._nested(self._advance(), self._binary, level))
 
     def _unary(self) -> Formula:
         tok = self._peek()
@@ -336,7 +320,7 @@ class Parser:
     def _atom(self) -> Formula:
         tok = self._peek()
         if tok.kind == "(":
-            inner = self._nested(self._advance(), self._formula)
+            inner = self._nested(self._advance(), self._binary, 0)
             self._expect(")")
             return inner
         if tok.kind == "true":
@@ -392,24 +376,13 @@ def format_formula(formula: Formula) -> str:
             return f"{_format_term(left)} = {_format_term(right)}"
         case Neq(left, right):
             return f"{_format_term(left)} != {_format_term(right)}"
-        case Not(body):
-            return f"! {format_formula(body)}"
-        case Next(body):
-            return f"X {format_formula(body)}"
-        case Finally(body):
-            return f"F {format_formula(body)}"
-        case Globally(body):
-            return f"G {format_formula(body)}"
-        case And(left, right):
-            return f"({format_formula(left)} & {format_formula(right)})"
-        case Or(left, right):
-            return f"({format_formula(left)} | {format_formula(right)})"
-        case Implies(left, right):
-            return f"({format_formula(left)} -> {format_formula(right)})"
-        case Until(left, right):
-            return f"({format_formula(left)} U {format_formula(right)})"
-        case Release(left, right):
-            return f"({format_formula(left)} R {format_formula(right)})"
+        case Not(body) | Next(body) | Finally(body) | Globally(body):
+            return f"{_SYMBOL[type(formula)]} {format_formula(body)}"
+        case (
+            And(left, right) | Or(left, right) | Implies(left, right)
+            | Until(left, right) | Release(left, right)
+        ):
+            return f"({format_formula(left)} {_SYMBOL[type(formula)]} {format_formula(right)})"
         case Exists(var, path, body):
             return f"exists {var} in {_quote(str(path))} : {format_formula(body)}"
         case Forall(var, path, body):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .events import LassoTrace, Message, Trace, message_from_obj
+from .events import LassoTrace, Message, message_from_obj
 from .formula import (
     And,
     Const,
@@ -76,9 +76,9 @@ def gen_message(rng: random.Random, bounds: GenBounds) -> Message:
     return message_from_obj({"m": body})
 
 
-def gen_finite_trace(rng: random.Random, bounds: GenBounds) -> Trace:
+def gen_finite_trace(rng: random.Random, bounds: GenBounds) -> tuple[Message, ...]:
     length = rng.randint(1, bounds.max_trace)
-    return Trace(tuple(gen_message(rng, bounds) for _ in range(length)))
+    return tuple(gen_message(rng, bounds) for _ in range(length))
 
 
 def gen_lasso(rng: random.Random, bounds: GenBounds) -> LassoTrace:

@@ -20,7 +20,7 @@ from .automaton import (
     dnf_and,
     dnf_or,
 )
-from .events import Message, Trace
+from .events import Message
 from .formula import Formula, to_nnf
 
 
@@ -78,12 +78,12 @@ def verdict(configuration: Configuration) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
-def monitor_trace(formula: Formula, trace: Trace) -> list[Verdict]:
+def monitor_trace(formula: Formula, trace: tuple[Message, ...]) -> list[Verdict]:
     """Verdict after each consumed message; normal form is applied here."""
     automaton = build_automaton(to_nnf(formula))
     configuration = initial_configuration(automaton)
     verdicts: list[Verdict] = []
-    for message in trace.messages:
+    for message in trace:
         configuration = step(automaton, configuration, message)
         verdicts.append(verdict(configuration))
     return verdicts

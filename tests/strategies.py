@@ -1,7 +1,7 @@
 """Hypothesis strategies shared across the suite."""
 import hypothesis.strategies as st
 
-from foltl.events import LassoTrace, Trace, message_from_obj
+from foltl.events import LassoTrace, message_from_obj
 from foltl.formula import (
     And,
     Const,
@@ -115,7 +115,7 @@ def rich_messages(draw, max_children=3):
 
 
 def traces(max_length=4):
-    return st.builds(lambda ms: Trace(tuple(ms)), st.lists(messages(), max_size=max_length))
+    return st.lists(messages(), max_size=max_length).map(tuple)
 
 
 def lassos(max_prefix=3, max_loop=3):

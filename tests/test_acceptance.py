@@ -10,7 +10,7 @@ import pytest
 
 from foltl.acceptance import fuzz_compare, lasso_accepts, oracle_eval
 from foltl.automaton import EMPTY_VALUATION, FALSE_DNF, TRUE_DNF, build_automaton
-from foltl.events import LassoTrace, Trace, dom, parse_message
+from foltl.events import LassoTrace, dom, parse_message
 from foltl.formula import (
     Finally,
     Globally,
@@ -126,7 +126,7 @@ def test_criterion_6_impartial_monitoring():
                 ext_rng = case_rng(7, f"ext:{attempt}", j)
                 tail = gen_lasso(ext_rng, bounds)
                 extension = LassoTrace(
-                    prefix=trace.messages + tail.prefix, loop=tail.loop
+                    prefix=trace + tail.prefix, loop=tail.loop
                 )
                 consistent = consistent and lasso_accepts(automaton, extension) == (
                     final is Verdict.TRUE

@@ -418,7 +418,7 @@ class TestDeltaInvariants:
     def test_reachable_obligations_are_well_formed(self, formula, trace):
         auto = build_automaton(formula)
         closure_size = len(auto.states) - 2
-        for (valuation, state), dnf in _reachable(auto, trace.messages):
+        for (valuation, state), dnf in _reachable(auto, trace):
             source = auto.states[state]
             for conjunct in dnf.conjuncts:
                 for target_valuation, target in conjunct:
@@ -433,14 +433,14 @@ class TestDeltaInvariants:
     @given(strategies.nnf_formulas(), strategies.traces(max_length=2))
     def test_depth_zero_states_decide_immediately(self, formula, trace):
         auto = build_automaton(formula)
-        for (valuation, state), dnf in _reachable(auto, trace.messages):
+        for (valuation, state), dnf in _reachable(auto, trace):
             if temporal_depth(auto.states[state]) == 0:
                 assert dnf.is_true() or dnf.is_false()
 
     @given(strategies.nnf_formulas(), strategies.traces(max_length=2))
     def test_dnf_results_are_antichains(self, formula, trace):
         auto = build_automaton(formula)
-        for _, dnf in _reachable(auto, trace.messages):
+        for _, dnf in _reachable(auto, trace):
             for left, right in itertools.combinations(dnf.conjuncts, 2):
                 assert not (left <= right or right <= left)
 

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from conftest import DATA
+from foltl import cli
 from foltl.cli import ExitStatus, build_parser, load_formula, main
 from foltl.formula import MAX_NESTING, Exists, Release, parse
 
@@ -125,6 +128,15 @@ class TestAcceptAndOracle:
         assert main(["accept", "--formula", REQ_ACK, "--lasso", str(lasso)]) == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_oracle_out_of_memory_is_an_error_exit(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "oracle_eval", exhausted)
+        assert main(["oracle", "--formula", REQ_ACK, "--lasso", GOOD]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: out of memory\n"
+
     def test_tiny_state_limit_is_a_resource_error(self, capsys):
         code = main(
             ["accept", "--formula", REQ_ACK, "--lasso", GOOD, "--state-limit", "1"]
@@ -179,6 +191,14 @@ class TestFuzz:
         stderr_lines = captured.err.splitlines()
         assert stderr_lines[0].startswith("STATES min=")
         assert stderr_lines[1].startswith("TIME total=")
+
+    def test_case_over_the_state_limit_is_reported_and_the_corpus_finishes(self, capsys):
+        argv = ["fuzz", "--seed", "42", "--count", "200", "--max-depth", "4", "--max-quant", "3"]
+        assert main(argv + ["--state-limit", "50"]) == 3
+        *limits, agree = capsys.readouterr().out.splitlines()
+        assert limits and all(re.fullmatch(r"LIMIT \d+ .+ \{.+\} states=51", line) for line in limits)
+        decided = 200 - len(limits)
+        assert agree == f"AGREE {decided}/{decided}"
 
     def test_stdout_is_bit_deterministic(self, capsys):
         assert main(["fuzz", "--seed", "9", "--count", "15"]) == 0

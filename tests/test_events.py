@@ -6,21 +6,15 @@ from hypothesis import strategies as st
 
 import strategies
 from foltl.events import (
-    Element,
     EmptyLoopError,
     LassoTrace,
-    Leaf,
     MalformedInputError,
-    Message,
-    Trace,
     canonical_position,
     dom,
     iter_messages,
     lasso_to_json,
     load_lasso,
     load_trace,
-    message_from_obj,
-    message_to_obj,
     parse_message,
     position_message,
 )
@@ -68,6 +62,10 @@ class TestDom:
         message = parse_message('{"m":"text"}')
         assert dom(message, Path(("m",))) == {"text"}
 
+    def test_one_item_root_array_counts_as_its_item(self):
+        assert dom(parse_message('{"m":["text"]}'), Path(("m",))) == {"text"}
+        assert dom(parse_message('{"m":[{"a":"v"}]}'), Path(("m", "a"))) == {"v"}
+
     @given(strategies.messages())
     def test_pure_and_duplicate_free(self, message):
         path = Path(("m", "a"))
@@ -77,29 +75,24 @@ class TestDom:
 
 
 class TestIngestion:
-    def test_nested_object_becomes_children_in_order(self):
-        message = parse_message(STOCK_JSON)
-        root = message.root
-        assert root.name == "message"
-        assert [c.name for c in root.children] == ["action", "stock", "stock"]
-        stock = root.children[1]
-        assert stock == Element(
-            "stock",
-            (
-                Element("name", (Leaf("stock-1"),)),
-                Element("amount", (Leaf("123"),)),
-            ),
+    def test_stock_item_order_does_not_matter(self):
+        swapped = (
+            '{"message":{"stock":[{"amount":"456","name":"stock-2"},'
+            '{"amount":"123","name":"stock-1"}],"action":"placeBuyOrder"}}'
         )
+        for leaf in ("action", "stock/name", "stock/amount"):
+            path = Path(("message", *leaf.split("/")))
+            assert dom(parse_message(swapped), path) == dom(parse_message(STOCK_JSON), path)
+        assert dom(parse_message(swapped), Path(("message", "stock", "amount"))) == {"123", "456"}
 
     def test_array_of_strings_repeats_the_element(self):
         message = parse_message('{"m":{"a":["x","y"]}}')
-        assert message.root.children == (
-            Element("a", (Leaf("x"),)),
-            Element("a", (Leaf("y"),)),
-        )
+        assert dom(message, Path(("m", "a"))) == {"x", "y"}
 
     def test_empty_object_means_no_children(self):
-        assert parse_message('{"m":{}}') == Message(Element("m", ()))
+        message = parse_message('{"m":{}}')
+        assert dom(message, Path(("m",))) == frozenset()
+        assert dom(message, Path(("m", "a"))) == frozenset()
 
     def test_multi_key_root_rejected(self):
         with pytest.raises(MalformedInputError):
@@ -129,7 +122,7 @@ class TestIngestion:
         assert len(load_trace(text)) == 2
 
     def test_load_trace_empty(self):
-        assert load_trace("") == Trace(())
+        assert load_trace("") == ()
 
 
 class TestLasso:
@@ -197,25 +190,8 @@ class TestPositions:
 
 class TestSerialization:
     def test_stock_round_trip(self):
-        message = parse_message(STOCK_JSON)
-        assert message_to_obj(message) == json.loads(STOCK_JSON)
-
-    def test_singleton_array_folds_to_scalar(self):
-        message = parse_message('{"m":{"a":["x"]}}')
-        assert message_to_obj(message) == {"m": {"a": "x"}}
-        assert message_from_obj(message_to_obj(message)) == message
-
-    def test_interleaved_runs_not_encodable(self):
-        root = Element(
-            "m",
-            (
-                Element("a", (Leaf("1"),)),
-                Element("b", (Leaf("2"),)),
-                Element("a", (Leaf("3"),)),
-            ),
-        )
-        with pytest.raises(ValueError):
-            message_to_obj(Message(root))
+        text = lasso_to_json(_lasso_of([], [STOCK_JSON]))
+        assert json.loads(text)["loop"] == [json.loads(STOCK_JSON)]
 
     def test_lasso_json_is_compact_single_line(self):
         lasso = _lasso_of([], ['{"m":{"a":"x"}}'])
@@ -223,6 +199,10 @@ class TestSerialization:
         assert "\n" not in text and " " not in text
         assert json.loads(text) == {"prefix": [], "loop": [{"m": {"a": "x"}}]}
 
-    @given(strategies.rich_messages())
-    def test_round_trip(self, message):
-        assert message_from_obj(message_to_obj(message)) == message
+    @given(
+        st.lists(strategies.rich_messages(), max_size=3),
+        st.lists(strategies.rich_messages(), min_size=1, max_size=3),
+    )
+    def test_round_trip(self, prefix, loop):
+        lasso = LassoTrace(prefix=tuple(prefix), loop=tuple(loop))
+        assert load_lasso(lasso_to_json(lasso)) == lasso

@@ -4,7 +4,7 @@ from hypothesis import given
 
 import strategies
 from foltl.automaton import FALSE_DNF, TRUE_DNF, build_automaton
-from foltl.events import Trace, load_trace
+from foltl.events import load_trace
 from foltl.formula import parse, to_nnf
 from foltl.monitor import (
     Configuration,
@@ -52,7 +52,7 @@ class TestVerdictSequences:
         assert _verdict_names(text, trace) == ["INCONCLUSIVE", "INCONCLUSIVE"]
 
     def test_empty_trace_yields_no_verdicts(self):
-        assert monitor_trace(parse("true"), Trace(())) == []
+        assert monitor_trace(parse("true"), ()) == []
 
 
 class TestConfigurations:
@@ -68,7 +68,7 @@ class TestConfigurations:
 
     def test_decided_configurations_are_fixed_points(self):
         auto = build_automaton(to_nnf(parse('G exists x in "/m/a" : x = "a"')))
-        for message in MIXED.messages:
+        for message in MIXED:
             assert step(auto, Configuration(TRUE_DNF), message).dnf == TRUE_DNF
             assert step(auto, Configuration(FALSE_DNF), message).dnf == FALSE_DNF
 
@@ -94,7 +94,7 @@ class TestProperties:
     def test_configurations_stay_antichains(self, formula, trace):
         auto = build_automaton(formula)
         config = initial_configuration(auto)
-        for message in trace.messages:
+        for message in trace:
             config = step(auto, config, message)
             for left, right in itertools.combinations(config.dnf.conjuncts, 2):
                 assert not (left <= right or right <= left)
@@ -104,6 +104,5 @@ class TestProperties:
         # Monitoring a longer trace never rewrites the verdicts already
         # issued for its prefix.
         full = monitor_trace(formula, trace)
-        for cut in range(len(trace.messages)):
-            prefix = Trace(trace.messages[:cut])
-            assert monitor_trace(formula, prefix) == full[:cut]
+        for cut in range(len(trace)):
+            assert monitor_trace(formula, trace[:cut]) == full[:cut]

@@ -198,7 +198,6 @@ class TestFuzz:
             oracle_result=False,
             state_count=3,
             node_count=1,
-            seconds=0.0,
         )
         agreeing = FuzzCase(
             index=4,
@@ -208,12 +207,24 @@ class TestFuzz:
             oracle_result=False,
             state_count=3,
             node_count=1,
-            seconds=0.0,
         )
-        report = FuzzReport(seed=0, bounds=GenBounds(), cases=(disagreeing, agreeing), total_seconds=0.5)
-        assert not disagreeing.agree and agreeing.agree
+        limited = FuzzCase(
+            index=5,
+            formula=parse("true"),
+            trace=trace,
+            automaton_result=None,
+            oracle_result=None,
+            state_count=3,
+            node_count=1,
+            limit_states=51,
+        )
+        cases = (disagreeing, agreeing, limited)
+        report = FuzzReport(seed=0, bounds=GenBounds(), cases=cases, total_seconds=0.5)
+        assert not disagreeing.agree and agreeing.agree and not limited.agree
+        assert report.failures == (disagreeing,) and report.limits == (limited,)
         assert report.report_lines() == [
             'FAIL 3 true {"prefix":[],"loop":[{"m":{}}]} automaton=true oracle=false',
+            'LIMIT 5 true {"prefix":[],"loop":[{"m":{}}]} states=51',
             "AGREE 1/2",
         ]
 
