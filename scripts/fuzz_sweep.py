@@ -2,7 +2,7 @@
 
 For every (temporal depth, quantifier count) cell the script runs a
 seeded fuzz corpus, compares the automaton route against the brute
-force oracle, and prints one table row with agreement and product size
+force oracle, and prints one table row with agreement and automaton size
 statistics.  Any disagreement makes the run exit nonzero, so the sweep
 doubles as a long-form self check.
 

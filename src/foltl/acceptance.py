@@ -6,12 +6,12 @@ set of canonical positions where the formula holds, taking Until as a
 least and Release as a greatest fixpoint over that finite position
 space.  It never touches the automaton machinery.
 
-lasso_accepts decides acceptance of the compiled automaton through the
-breakpoint (owing-set) construction for alternating automata with a
-Buchi condition, searching the product of canonical positions and
-breakpoint states for a reachable cycle through an accepting edge.  One
-depth-first search finds the strongly connected components while it
-explores the product and stops at the first accepting cycle.
+lasso_accepts decides acceptance of the compiled automaton as the
+alternating automaton's own Buchi game on (canonical position,
+obligation) pairs: Eve picks a conjunct of each rewrite, Adam picks an
+obligation in it, and the trace is accepted iff Eve wins from the
+initial obligation at position 0.  The game is explored in full and
+solved by a nested fixpoint of worklist attractors.
 
 fuzz_compare drives both over a seeded random corpus and reports every
 disagreement; agreement across the corpus is the package's main
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .automaton import (
     EMPTY_VALUATION,
     Automaton,
-    Conjunct,
     Obligation,
     Valuation,
     build_automaton,
@@ -60,7 +59,7 @@ DEFAULT_STATE_LIMIT = 200_000
 class ResourceLimitError(RuntimeError):
     def __init__(self, states: int):
         self.states = states
-        super().__init__(f"product search exceeded {states} states")
+        super().__init__(f"acceptance game exceeded {states} vertices")
 
 
 class OracleEvaluator:
@@ -80,10 +79,7 @@ class OracleEvaluator:
         self._memo: dict[tuple[Formula, Valuation], frozenset[int]] = {}
 
     def holds(self, valuation: Valuation, formula: Formula, index: int = 0) -> bool:
-        return self.canonical(index) in self.sat(formula, valuation)
-
-    def canonical(self, index: int) -> int:
-        return canonical_position(self.trace, index)
+        return canonical_position(self.trace, index) in self.sat(formula, valuation)
 
     def _successor(self, position: int) -> int:
         return position + 1 if position + 1 < self.count else self.loop_start
@@ -99,17 +95,8 @@ class OracleEvaluator:
             self._memo[key] = cached
         return cached
 
-    def _lfp(self, unfold) -> frozenset[int]:
-        current: frozenset[int] = frozenset()
-        while True:
-            self.iterations += 1
-            updated = unfold(current)
-            if updated == current:
-                return current
-            current = updated
-
-    def _gfp(self, unfold) -> frozenset[int]:
-        current = self.all_positions
+    def _fixpoint(self, current: frozenset[int], unfold) -> frozenset[int]:
+        """Iterate unfold until stable: the least fixpoint from no position, the greatest from all."""
         while True:
             self.iterations += 1
             updated = unfold(current)
@@ -141,32 +128,24 @@ class OracleEvaluator:
                 return self._pre(self.sat(body, p))
             case Finally(body):
                 base = self.sat(body, p)
-                return self._lfp(lambda s: base | self._pre(s))
+                return self._fixpoint(frozenset(), lambda s: base | self._pre(s))
             case Globally(body):
                 base = self.sat(body, p)
-                return self._gfp(lambda s: base & self._pre(s))
+                return self._fixpoint(self.all_positions, lambda s: base & self._pre(s))
             case Until(left, right):
                 hold = self.sat(left, p)
                 goal = self.sat(right, p)
-                return self._lfp(lambda s: goal | (hold & self._pre(s)))
+                return self._fixpoint(frozenset(), lambda s: goal | (hold & self._pre(s)))
             case Release(left, right):
-                release = self.sat(left, p)
                 constraint = self.sat(right, p)
-                return self._gfp(lambda s: (release & constraint) | (constraint & self._pre(s)))
-            case Exists(var, path, body):
+                settled = self.sat(left, p) & constraint
+                return self._fixpoint(self.all_positions, lambda s: settled | (constraint & self._pre(s)))
+            case Exists(var, path, body) | Forall(var, path, body):
+                quantifier = any if isinstance(f, Exists) else all
                 return frozenset(
                     pos
                     for pos in self.all_positions
-                    if any(
-                        pos in self.sat(body, p.extend(var, value))
-                        for value in sorted(dom(self.messages[pos], path))
-                    )
-                )
-            case Forall(var, path, body):
-                return frozenset(
-                    pos
-                    for pos in self.all_positions
-                    if all(
+                    if quantifier(
                         pos in self.sat(body, p.extend(var, value))
                         for value in sorted(dom(self.messages[pos], path))
                     )
@@ -184,116 +163,80 @@ def lasso_accepts(
 ) -> bool:
     """Buchi acceptance of the compiled automaton on a lasso trace.
 
-    Nondeterminizes on the fly with the owing-set (breakpoint) record:
-    a product node is (canonical position, obligations, owing subset),
-    a successor picks one conjunct of each obligation's rewrite and
-    unions the picks, and an edge is accepting when the owing set
-    empties and restarts.  The trace is accepted iff some reachable
-    cycle contains an accepting edge.  The product is explored on the
-    fly and the search stops at the first such cycle, so state_limit
-    counts the product nodes discovered before the verdict is known: an
-    accepted lasso may be decided before the limit is reached, and
-    ResourceLimitError is raised once more than state_limit nodes have
-    been discovered.
+    This is the alternating automaton's own acceptance game.  A vertex is
+    a canonical position with one obligation; Eve picks a conjunct of
+    its rewrite against that position's message, and Adam picks one
+    obligation of the conjunct at the next canonical position.  The
+    trace is accepted iff Eve wins from (0, initial).  state_limit counts
+    the game vertices discovered, at most |positions| x |obligations|.
     """
-    count = len(trace.prefix) + len(trace.loop)
-    messages = [position_message(trace, i) for i in range(count)]
 
-    def owing(obligations: frozenset[Obligation]) -> frozenset[Obligation]:
-        return frozenset(o for o in obligations if o[1] not in automaton.accepting)
+    def moves(vertex: tuple[int, Obligation]) -> list[tuple[tuple[int, Obligation], ...]]:
+        position, (valuation, state) = vertex
+        after = canonical_position(trace, position + 1)
+        rewrite = automaton.delta(valuation, state, position_message(trace, position))
+        return [tuple((after, o) for o in conjunct) for conjunct in rewrite.conjuncts]
 
-    delta_cache: dict[tuple[int, Obligation], tuple[Conjunct, ...]] = {}
-
-    def rewrites(position: int, obligation: Obligation) -> tuple[Conjunct, ...]:
-        key = (position, obligation)
-        hit = delta_cache.get(key)
-        if hit is None:
-            valuation, state = obligation
-            hit = automaton.delta(valuation, state, messages[position]).conjuncts
-            delta_cache[key] = hit
-        return hit
-
-    def successors(node):
-        position, obligations, owed = node
-        # Accumulate the choice product with early dedup so identical
-        # partial unions collapse instead of multiplying out.
-        partial: set[tuple[frozenset[Obligation], frozenset[Obligation]]] = {
-            (frozenset(), frozenset())
-        }
-        for obligation in obligations:
-            options = rewrites(position, obligation)
-            if not options:
-                return []
-            tracked = obligation in owed
-            partial = {
-                (union | pick, (carried | owing(pick)) if tracked else carried)
-                for union, carried in partial
-                for pick in options
-            }
-        next_position = canonical_position(trace, position + 1)
-        out = set()
-        for union, carried in partial:
-            if carried:
-                out.add(((next_position, union, carried), False))
-            else:
-                out.add(((next_position, union, owing(union)), True))
-        return out
-
-    initial_set = frozenset({automaton.initial})
-    return _accepting_cycle((0, initial_set, owing(initial_set)), successors, state_limit)
+    return _eve_wins((0, automaton.initial), moves, lambda v: v[1][1] in automaton.accepting, state_limit)
 
 
-def _accepting_cycle(start, successors, state_limit: int) -> bool:
-    """Whether some cycle reachable from start contains an accepting edge.
+def _eve_wins(start, moves, accepting, state_limit: int) -> bool:
+    """Whether Eve wins the Buchi game from start.
 
-    successors(node) yields (target, accepting) pairs.  This is
-    Couvreur's on-the-fly SCC search for edge-labelled Buchi acceptance
-    with a single acceptance set: one iterative DFS finds the strongly
-    connected components as it goes and stops at the first edge that
-    closes a cycle through an accepting edge.  state_limit bounds the
-    number of distinct nodes discovered before the verdict is known.
+    moves(vertex) lists Eve's options, each a tuple of targets of which
+    Adam picks one: an empty option wins for Eve, and a vertex with no
+    option loses for her.  Eve wins a play that visits accepting
+    vertices infinitely often.  Her winning region is
+    nu Z. mu Y. (accepting & CPre(Z)) | CPre(Y), where CPre(X) holds the
+    vertices with an option inside X.  Each mu Y is a worklist attractor
+    with one counter per option, so each of at most |vertices| rounds is
+    linear in the size of the game.  ResourceLimitError is raised once
+    more than state_limit vertices are discovered.
     """
-    # DFS number of every node discovered; 0 once its SCC is closed.
-    number = {start: 1}
-    # Nodes of the SCCs still open, in DFS order.
-    active = [start]
-    # Roots of the open SCCs: (DFS number, whether the entering edge is
-    # accepting).  No open SCC holds an accepting edge of its own yet,
-    # or the search would already have stopped.
-    roots = [(1, False)]
-    stack = [(start, iter(successors(start)))]
-    while stack:
-        node, pending = stack[-1]
-        for target, accepting in pending:
-            seen = number.get(target)
-            if seen is None:
-                number[target] = len(number) + 1
-                if len(number) > state_limit:
-                    raise ResourceLimitError(len(number))
-                active.append(target)
-                roots.append((number[target], accepting))
-                stack.append((target, iter(successors(target))))
-                break
-            if seen:
-                # The edge closes a cycle: every open SCC rooted above
-                # target merges into target's SCC, their entering edges
-                # with it.
-                while roots[-1][0] > seen:
-                    accepting |= roots.pop()[1]
-                if accepting:
-                    return True
-        else:
-            stack.pop()
-            if roots[-1][0] == number[node]:
-                roots.pop()
-                while True:
-                    member = active.pop()
-                    number[member] = 0
-                    # node is the very object pushed on active, so
-                    # identity ends the SCC without comparing tuples.
-                    if member is node:
-                        break
-    return False
+    # Vertices are numbered as discovered, the start as 0, and the loop
+    # walks the list as it grows.  options[v] lists v's options as lists
+    # of target numbers; holders[t] has a (v, i) per time option i names t.
+    number = {start: 0}
+    vertices = [start]
+    options: list[list[list[int]]] = []
+    holders: list[list[tuple[int, int]]] = [[]]
+    for v, vertex in enumerate(vertices):
+        options.append([])
+        for i, targets in enumerate(moves(vertex)):
+            options[v].append([])
+            for target in targets:
+                t = number.get(target)
+                if t is None:
+                    if len(vertices) >= state_limit:
+                        raise ResourceLimitError(len(vertices) + 1)
+                    t = number[target] = len(vertices)
+                    vertices.append(target)
+                    holders.append([])
+                options[v][i].append(t)
+                holders[t].append((v, i))
+    final = [accepting(vertex) for vertex in vertices]
+    winning = [True] * len(vertices)
+    while True:
+        # Per option, its target entries not yet in the attractor.
+        missing = [[len(option) for option in choices] for choices in options]
+        work = [
+            v
+            for v, choices in enumerate(options)
+            if any(not option or final[v] and all(winning[t] for t in option) for option in choices)
+        ]
+        attractor = [False] * len(vertices)
+        while work:
+            v = work.pop()
+            if not attractor[v]:
+                attractor[v] = True
+                for u, i in holders[v]:
+                    missing[u][i] -= 1
+                    if not missing[u][i]:
+                        work.append(u)
+        # Attractors only shrink, so a lost start vertex stays lost.
+        if not attractor[0] or attractor == winning:
+            return attractor[0]
+        winning = attractor
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Tree-structured messages, traces, and path-based value extraction.
 
-A message is one decoded JSON object with a single root key, and that
-object is already the tree the formulas speak about: object keys are
-steps, an array repeats its key once per item, and strings are the
-only values.  A finite trace is a tuple of messages, read from JSON
-Lines; a lasso trace is a finite prefix plus a nonempty loop repeated
-forever.
+A message is one decoded JSON object with a single root key and no
+repeated key, and that object is already the tree the formulas speak
+about: object keys are steps, an array repeats its key once per item,
+and strings are the only values.  A finite trace is a tuple of
+messages, read from JSON Lines; a lasso trace is a finite prefix plus
+a nonempty loop repeated forever.
 """
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .formula import Path
+
+_TOO_DEEP = "JSON nests too deeply"
 
 
 class MalformedInputError(ValueError):
@@ -104,18 +106,36 @@ def message_from_obj(obj: object, line: int = 0) -> Message:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedInputError(line, "message must be an object with exactly one root key")
     ((name, value),) = obj.items()
-    _check_value(name, value, line)
+    try:
+        _check_value(name, value, line)
+    except RecursionError:
+        raise MalformedInputError(line, _TOO_DEEP) from None
     if isinstance(value, list) and len(value) != 1:
         raise MalformedInputError(line, "root element cannot repeat")
     return Message(obj)
 
 
-def parse_message(text: str, line: int = 0) -> Message:
+def _decode(text: str, line: int) -> object:
+    """json.loads that rejects duplicate keys; every failure is malformed input."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise MalformedInputError(line, f"duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        obj = json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise MalformedInputError(line, f"invalid JSON: {err.msg}") from err
-    return message_from_obj(obj, line)
+    except RecursionError:
+        raise MalformedInputError(line, _TOO_DEEP) from None
+
+
+def parse_message(text: str, line: int = 0) -> Message:
+    return message_from_obj(_decode(text, line), line)
 
 
 def iter_messages(lines: Iterable[str]) -> Iterator[Message]:
@@ -133,10 +153,7 @@ def load_trace(text: str) -> tuple[Message, ...]:
 
 def load_lasso(text: str) -> LassoTrace:
     """Read a lasso file: one object with "prefix" and "loop" arrays."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise MalformedInputError(0, f"invalid JSON: {err.msg}") from err
+    obj = _decode(text, 0)
     if not isinstance(obj, dict):
         raise MalformedInputError(0, "lasso must be a JSON object")
     unknown = set(obj) - {"prefix", "loop"}

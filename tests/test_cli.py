@@ -13,6 +13,7 @@ WITNESS = str(DATA / "witness.ltl")
 GOOD = str(DATA / "good.lasso.json")
 BAD = str(DATA / "bad.lasso.json")
 MIXED = str(DATA / "mixed.jsonl")
+DEEP = '{"m":' * 1200 + '"x"' + "}" * 1200
 
 
 class TestLoadFormula:
@@ -99,6 +100,23 @@ class TestMonitor:
         assert main(["monitor", "--formula", WITNESS, "--trace", str(trace)]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_deep_json_line_is_an_error_exit(self, tmp_path, capsys):
+        trace = tmp_path / "deep.jsonl"
+        trace.write_text('{"m":{}}\n' + DEEP + "\n")
+        assert main(["monitor", "--formula", WITNESS, "--trace", str(trace)]) == 3
+        assert capsys.readouterr().err == "error: line 2: JSON nests too deeply\n"
+
+    def test_duplicate_key_is_an_error_exit(self, tmp_path, capsys):
+        # Keeping the last value would make this formula TRUE on half a message.
+        formula = tmp_path / "all_c.ltl"
+        formula.write_text('forall x in "/m/a" : x = "c"')
+        trace = tmp_path / "dup.jsonl"
+        trace.write_text('{"m":{"a":"x","a":"c"}}\n')
+        assert main(["monitor", "--formula", str(formula), "--trace", str(trace)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: duplicate key 'a'\n"
+
     def test_trace_not_utf8_is_an_error_exit(self, tmp_path, capsys):
         trace = tmp_path / "bad.jsonl"
         trace.write_bytes(b'\xff\xfe{"m":{}}\n')
@@ -127,6 +145,12 @@ class TestAcceptAndOracle:
         lasso.write_bytes(b'{"prefix":[],"loop":[{"m":{"a":"\xff"}}]}')
         assert main(["accept", "--formula", REQ_ACK, "--lasso", str(lasso)]) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_deep_json_lasso_is_an_error_exit(self, tmp_path, capsys):
+        lasso = tmp_path / "deep.lasso.json"
+        lasso.write_text('{"prefix":[],"loop":[' + DEEP + "]}")
+        assert main(["accept", "--formula", REQ_ACK, "--lasso", str(lasso)]) == 3
+        assert capsys.readouterr().err == "error: line 0: JSON nests too deeply\n"
 
     def test_oracle_out_of_memory_is_an_error_exit(self, monkeypatch, capsys):
         def exhausted(*args):

@@ -1,123 +1,141 @@
-"""The on-the-fly accepting-cycle search, on plain graphs."""
+"""The Buchi game solver behind lasso acceptance, on plain games."""
+import itertools
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from foltl.acceptance import ResourceLimitError, _accepting_cycle
+from foltl.acceptance import ResourceLimitError, _eve_wins
 
-NODES = 6
+VERTICES = 6
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def _search(graph, start=0, state_limit=1000):
-    """graph maps a node to its (target, accepting) edges, in DFS order."""
-    return _accepting_cycle(start, lambda node: graph.get(node, ()), state_limit)
+def _solve(game, accepting=(), start=0, state_limit=1000):
+    """game maps a vertex to Eve's options, each a tuple of Adam's targets."""
+    return _eve_wins(start, lambda vertex: game.get(vertex, []), accepting.__contains__, state_limit)
 
 
-def _reach(graph, source):
+def _reach(edges, source):
+    """Vertices reachable from source; edges maps a vertex to its successors."""
     seen = {source}
     frontier = [source]
     while frontier:
-        for target, _ in graph.get(frontier.pop(), ()):
+        for target in edges(frontier.pop()):
             if target not in seen:
                 seen.add(target)
                 frontier.append(target)
     return seen
 
 
-def _brute_force(graph, start=0):
-    """Some accepting edge (u, v) has u reachable from start and from v."""
-    return any(
-        accepting and node in _reach(graph, target)
-        for node in _reach(graph, start)
-        for target, accepting in graph.get(node, ())
-    )
+def _every_target(game):
+    return lambda vertex: [t for option in game.get(vertex, []) for t in option]
+
+
+def _brute_force(game, accepting=(), start=0):
+    """Some positional choice of one option per vertex leaves Adam no way
+    to reach a vertex without options or a cycle of non-accepting ones."""
+    reachable = sorted(_reach(_every_target(game), start))
+    choosers = [v for v in reachable if game.get(v)]
+    for picks in itertools.product(*(range(len(game[v])) for v in choosers)):
+        chosen = dict(zip(choosers, picks))
+
+        def edges(vertex):
+            return game[vertex][chosen[vertex]] if vertex in chosen else ()
+
+        played = _reach(edges, start)
+        if any(not game.get(v) for v in played):
+            continue
+        # Peel off non-accepting vertices with no non-accepting successor;
+        # whatever remains holds a cycle of non-accepting vertices.
+        rest = {v for v in played if v not in accepting}
+        while True:
+            dead = {v for v in rest if not rest.intersection(edges(v))}
+            if not dead:
+                break
+            rest -= dead
+        if not rest:
+            return True
+    return False
 
 
 @st.composite
-def graphs(draw):
-    edges = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, NODES - 1), st.integers(0, NODES - 1), st.booleans()
-            ),
-            max_size=14,
-        )
-    )
-    graph: dict[int, list[tuple[int, bool]]] = {}
-    for source, target, accepting in edges:
-        graph.setdefault(source, []).append((target, accepting))
-    return graph
+def games(draw):
+    targets = st.tuples(*[st.integers(0, VERTICES - 1)] * 3)
+    game = {
+        vertex: [option[: draw(st.integers(0, 3))] for option in draw(st.lists(targets, max_size=3))]
+        for vertex in range(VERTICES)
+    }
+    accepting = draw(st.frozensets(st.integers(0, VERTICES - 1)))
+    return game, accepting
+
+
+def _limit_is_the_reachable_count(game, accepting):
+    reachable = len(_reach(_every_target(game), 0))
+    assert _solve(game, accepting, state_limit=reachable) == _brute_force(game, accepting)
+    if reachable > 1:
+        with pytest.raises(ResourceLimitError) as err:
+            _solve(game, accepting, state_limit=reachable - 1)
+        assert err.value.states == reachable
 
 
 class TestAgainstBruteForce:
-    @given(graphs())
-    def test_same_verdict(self, graph):
-        assert _search(graph) == _brute_force(graph)
+    @given(games())
+    def test_same_verdict(self, drawn):
+        game, accepting = drawn
+        assert _solve(game, accepting) == _brute_force(game, accepting)
 
-    @given(graphs())
-    def test_rejection_explores_every_reachable_node(self, graph):
-        reachable = len(_reach(graph, 0))
-        assert _search(graph, state_limit=reachable) == _brute_force(graph)
-        if not _brute_force(graph) and reachable > 1:
-            with pytest.raises(ResourceLimitError) as err:
-                _search(graph, state_limit=reachable - 1)
-            assert err.value.states == reachable
+    @given(games())
+    def test_rejection_explores_every_reachable_node(self, drawn):
+        assume(not _brute_force(*drawn))
+        _limit_is_the_reachable_count(*drawn)
+
+    @given(games())
+    def test_acceptance_explores_every_reachable_vertex_too(self, drawn):
+        assume(_brute_force(*drawn))
+        _limit_is_the_reachable_count(*drawn)
 
 
 class TestHandWritten:
+    def test_empty_option_wins(self):
+        assert _solve({0: [()]}) is True
+
+    def test_no_option_loses(self):
+        assert _solve({0: []}) is False
+
     def test_accepting_self_loop(self):
-        assert _search({0: [(1, False)], 1: [(1, True)]}) is True
+        assert _solve({0: [(1,)], 1: [(1,)]}, accepting={1}) is True
 
-    def test_accepting_edge_between_two_sccs(self):
-        graph = {
-            0: [(1, False)],
-            1: [(0, False), (2, True)],
-            2: [(3, False)],
-            3: [(2, False)],
-        }
-        assert _search(graph) is False
+    def test_non_accepting_self_loop_loses(self):
+        assert _solve({0: [(0,)]}) is False
 
-    def test_accepting_tree_edge_closed_by_a_later_back_edge(self):
-        graph = {0: [(1, True)], 1: [(2, False)], 2: [(0, False)]}
-        assert _search(graph) is True
+    def test_adam_picks_the_bad_target(self):
+        game = {0: [(1, 2)], 1: [(1,)], 2: [(2,)]}
+        assert _solve(game, accepting={1}) is False
+        assert _solve(game, accepting={1, 2}) is True
 
-    @pytest.mark.parametrize(
-        "tree_edge,cross_edge", [(False, True), (True, False)], ids=["cross", "entering"]
-    )
-    def test_cross_edge_into_an_older_open_scc(self, tree_edge, cross_edge):
-        # 0, 1 and 2 form an open SCC when 1's second edge reaches 3,
-        # whose edge back to the finished node 2 is a cross edge.
-        graph = {
-            0: [(1, False)],
-            1: [(2, False), (3, tree_edge)],
-            2: [(0, False)],
-            3: [(2, cross_edge)],
-        }
-        assert _search(graph) is True
+    def test_eve_picks_the_good_option(self):
+        game = {0: [(1,), (2,)], 1: [(1,)], 2: [(2,)]}
+        assert _solve(game, accepting={2}) is True
+        assert _solve(game, accepting={0}) is False
 
-    def test_edges_into_a_closed_scc_close_no_cycle(self):
-        # {1, 2} is closed before 0's accepting edges reach its root and
-        # its other member.
-        graph = {0: [(1, False), (1, True), (2, True)], 1: [(2, False)], 2: [(1, False)]}
-        assert _search(graph) is False
+    def test_accepting_vertex_between_two_cycles_loses(self):
+        # Every play passes the accepting vertex 2 at most once.
+        game = {0: [(1,)], 1: [(0,), (2,)], 2: [(3,)], 3: [(4,)], 4: [(3,)]}
+        assert _solve(game, accepting={2}) is False
+
+    def test_accepting_vertex_on_a_longer_cycle_wins(self):
+        assert _solve({0: [(1,)], 1: [(2,)], 2: [(0,)]}, accepting={0}) is True
 
     def test_state_limit_exceeded(self):
-        chain = {node: [(node + 1, False)] for node in range(10)}
+        chain = {vertex: [(vertex + 1,)] for vertex in range(10)}
         with pytest.raises(ResourceLimitError) as err:
-            _search(chain, state_limit=3)
-        assert err.value.states > 3
-
-    def test_stops_at_the_first_accepting_cycle(self):
-        # The limit counts nodes discovered before the verdict is known.
-        graph = {0: [(0, True), (1, False)]}
-        graph.update({node: [(node + 1, False)] for node in range(1, 10)})
-        assert _search(graph, state_limit=1) is True
+            _solve(chain, state_limit=3)
+        assert err.value.states == 4
 
 
 def test_import_pulls_in_no_networkx():

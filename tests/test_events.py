@@ -20,6 +20,8 @@ from foltl.events import (
 )
 from foltl.formula import Path
 
+# Objects nested beyond what json.loads decodes without exhausting the stack.
+DEEP = '{"m":' * 1200 + '"x"' + "}" * 1200
 STOCK_JSON = (
     '{"message":{"action":"placeBuyOrder",'
     '"stock":[{"name":"stock-1","amount":"123"},{"name":"stock-2","amount":"456"}]}}'
@@ -117,6 +119,23 @@ class TestIngestion:
             list(iter_messages(lines))
         assert err.value.line == 2
 
+    def test_duplicate_key_rejected_and_named(self):
+        with pytest.raises(MalformedInputError) as err:
+            parse_message('{"m":{"a":"x","b":"y","a":"c"}}', line=3)
+        assert err.value.line == 3
+        assert "duplicate key 'a'" in str(err.value)
+
+    def test_duplicate_root_key_rejected(self):
+        with pytest.raises(MalformedInputError) as err:
+            parse_message('{"m":{},"m":{"a":"x"}}')
+        assert "duplicate key 'm'" in str(err.value)
+
+    def test_too_deep_is_malformed_at_its_line(self):
+        with pytest.raises(MalformedInputError) as err:
+            parse_message(DEEP, line=5)
+        assert err.value.line == 5
+        assert "nests too deeply" in str(err.value)
+
     def test_blank_lines_skipped(self):
         text = '\n{"m":{"a":"x"}}\n\n{"m":{}}\n'
         assert len(load_trace(text)) == 2
@@ -154,6 +173,21 @@ class TestLasso:
     def test_non_object_rejected(self):
         with pytest.raises(MalformedInputError):
             load_lasso("[]")
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [('{"loop":[{"m":{}}],"loop":[]}', "loop"), ('{"loop":[{"m":{"a":"x","a":"y"}}]}', "a")],
+        ids=["lasso", "message"],
+    )
+    def test_duplicate_key_rejected(self, text, key):
+        with pytest.raises(MalformedInputError) as err:
+            load_lasso(text)
+        assert f"duplicate key {key!r}" in str(err.value)
+
+    def test_too_deep_rejected(self):
+        with pytest.raises(MalformedInputError) as err:
+            load_lasso('{"loop":[' + DEEP + "]}")
+        assert "nests too deeply" in str(err.value)
 
 
 def _lasso_of(prefix_texts, loop_texts):

@@ -104,13 +104,9 @@ class _CountingEvaluator(OracleEvaluator):
         super().__init__(trace)
         self.fixpoints = 0
 
-    def _lfp(self, unfold):
+    def _fixpoint(self, current, unfold):
         self.fixpoints += 1
-        return super()._lfp(unfold)
-
-    def _gfp(self, unfold):
-        self.fixpoints += 1
-        return super()._gfp(unfold)
+        return super()._fixpoint(current, unfold)
 
 
 class TestFixpointConvergence:
@@ -175,6 +171,14 @@ class TestFuzz:
     def test_deeper_corpus_agrees(self):
         report = fuzz_compare(42, 200, GenBounds(max_depth=5, max_quantifiers=3))
         assert report.agreements == 200
+
+    def test_long_lassos_decide_within_a_small_state_limit(self):
+        # The acceptance game has at most |positions| x |obligations|
+        # vertices, so 1000 is room enough for lassos of up to 14 messages.
+        bounds = GenBounds(max_depth=4, max_quantifiers=3, max_prefix=8, max_loop=6)
+        report = fuzz_compare(42, 300, bounds, state_limit=1000)
+        assert report.limits == ()
+        assert report.agreements == 300
 
     def test_report_is_deterministic(self):
         first = fuzz_compare(7, 10)
