@@ -12,6 +12,7 @@ Usage:
 """
 import argparse
 import sys
+import time
 
 from foltl.acceptance import fuzz_compare
 from foltl.gen import GenBounds
@@ -21,17 +22,21 @@ HEADER = f"{'depth':>5} {'quant':>5} {'agree':>9} {'states(min/mean/max)':>22} {
 
 def run_cell(seed: int, count: int, depth: int, quantifiers: int) -> tuple[bool, str]:
     bounds = GenBounds(max_depth=depth, max_quantifiers=quantifiers)
-    report = fuzz_compare(seed, count, bounds)
-    states = [case.state_count for case in report.cases]
+    started = time.perf_counter()
+    cases = fuzz_compare(seed, count, bounds)
+    elapsed = time.perf_counter() - started
+    states = [case.state_count for case in cases]
     mean = sum(states) / len(states)
     sizes = f"{min(states)}/{mean:.1f}/{max(states)}"
+    agreements = sum(case.agree for case in cases)
     row = (
-        f"{depth:>5} {quantifiers:>5} {report.agreements:>5}/{len(report.cases):<3}"
-        f" {sizes:>22} {report.total_seconds:>7.2f}s"
+        f"{depth:>5} {quantifiers:>5} {agreements:>5}/{len(cases):<3}"
+        f" {sizes:>22} {elapsed:>7.2f}s"
     )
-    clean = not report.failures and not report.limits
+    clean = agreements == len(cases)
     if not clean:
-        row += "  <- disagreement" if report.failures else "  <- over the state limit"
+        failed = any(not case.agree and not case.limit_states for case in cases)
+        row += "  <- disagreement" if failed else "  <- over the state limit"
     return clean, row
 
 

@@ -8,7 +8,6 @@ on ultimately periodic traces, cross-validated by a brute-force oracle.
 from .acceptance import (
     DEFAULT_STATE_LIMIT,
     FuzzCase,
-    FuzzReport,
     OracleEvaluator,
     ResourceLimitError,
     fuzz_compare,

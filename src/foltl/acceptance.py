@@ -13,13 +13,12 @@ obligation in it, and the trace is accepted iff Eve wins from the
 initial obligation at position 0.  The game is explored in full and
 solved by a nested fixpoint of worklist attractors.
 
-fuzz_compare drives both over a seeded random corpus and reports every
-disagreement; agreement across the corpus is the package's main
-self-check.
+fuzz_compare drives both over a seeded random corpus and returns one
+FuzzCase per case; the CLI's fuzz command reports them.  Agreement
+across the corpus is the package's main self-check.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .automaton import (
@@ -29,7 +28,7 @@ from .automaton import (
     Valuation,
     build_automaton,
 )
-from .events import LassoTrace, canonical_position, dom, lasso_to_json, position_message
+from .events import LassoTrace, canonical_position, dom, position_message
 from .formula import (
     And,
     Eq,
@@ -47,8 +46,6 @@ from .formula import (
     Release,
     TrueLit,
     Until,
-    format_formula,
-    node_count,
     to_nnf,
 )
 from .gen import GenBounds, case_rng, gen_formula, gen_lasso
@@ -249,7 +246,6 @@ class FuzzCase:
     automaton_result: bool | None
     oracle_result: bool | None
     state_count: int
-    node_count: int
     limit_states: int = 0
 
     @property
@@ -257,61 +253,13 @@ class FuzzCase:
         return not self.limit_states and self.automaton_result == self.oracle_result
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    seed: int
-    bounds: GenBounds
-    cases: tuple[FuzzCase, ...]
-    total_seconds: float
-
-    @property
-    def agreements(self) -> int:
-        return sum(1 for case in self.cases if case.agree)
-
-    @property
-    def failures(self) -> tuple[FuzzCase, ...]:
-        return tuple(case for case in self.cases if not case.agree and not case.limit_states)
-
-    @property
-    def limits(self) -> tuple[FuzzCase, ...]:
-        return tuple(case for case in self.cases if case.limit_states)
-
-    def report_lines(self) -> list[str]:
-        """Deterministic report: FAIL and LIMIT lines in case order, then AGREE over decided cases."""
-        lines = []
-        for case in self.cases:
-            if case.agree:
-                continue
-            text = f"{case.index} {format_formula(case.formula)} {lasso_to_json(case.trace)}"
-            if case.limit_states:
-                lines.append(f"LIMIT {text} states={case.limit_states}")
-            else:
-                lines.append(
-                    f"FAIL {text} automaton={str(case.automaton_result).lower()}"
-                    f" oracle={str(case.oracle_result).lower()}"
-                )
-        lines.append(f"AGREE {self.agreements}/{len(self.cases) - len(self.limits)}")
-        return lines
-
-    def stats_lines(self) -> list[str]:
-        states = [case.state_count for case in self.cases]
-        if not states:
-            return [f"TIME total={self.total_seconds:.3f}s"]
-        mean = sum(states) / len(states)
-        return [
-            f"STATES min={min(states)} max={max(states)} mean={mean:.2f}",
-            f"TIME total={self.total_seconds:.3f}s",
-        ]
-
-
 def fuzz_compare(
     seed: int,
     count: int,
     bounds: GenBounds = GenBounds(),
     state_limit: int = DEFAULT_STATE_LIMIT,
-) -> FuzzReport:
-    """Cross-validate the automaton against the oracle on a seeded corpus."""
-    started = time.perf_counter()
+) -> list[FuzzCase]:
+    """Run both routes over a seeded corpus and return its cases in order; the CLI reports them."""
     cases: list[FuzzCase] = []
     for index in range(count):
         rng = case_rng(seed, "case", index)
@@ -335,13 +283,7 @@ def fuzz_compare(
                 automaton_result=automaton_result,
                 oracle_result=oracle_result,
                 state_count=len(automaton.states),
-                node_count=node_count(normal),
                 limit_states=limit_states,
             )
         )
-    return FuzzReport(
-        seed=seed,
-        bounds=bounds,
-        cases=tuple(cases),
-        total_seconds=time.perf_counter() - started,
-    )
+    return cases

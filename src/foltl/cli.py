@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from enum import IntEnum
 
 from .acceptance import (
     DEFAULT_STATE_LIMIT,
+    FuzzCase,
     ResourceLimitError,
     fuzz_compare,
     lasso_accepts,
@@ -17,9 +19,10 @@ from .events import (
     EmptyLoopError,
     MalformedInputError,
     iter_messages,
+    lasso_to_json,
     load_lasso,
 )
-from .formula import Formula, FormulaError, parse, temporal_depth, to_nnf
+from .formula import Formula, FormulaError, format_formula, parse, temporal_depth, to_nnf
 from .gen import GenBounds
 from .monitor import Verdict, initial_configuration, step, verdict
 
@@ -47,10 +50,6 @@ def load_formula(path: str) -> Formula:
             if line.strip() and not line.lstrip().startswith("#")
         ]
     return parse(" ".join(lines))
-
-
-def _verdict_status(value: Verdict) -> ExitStatus:
-    return ExitStatus[value.name]
 
 
 def cmd_compile(args) -> ExitStatus:
@@ -81,7 +80,7 @@ def cmd_monitor(args) -> ExitStatus:
             current = verdict(configuration)
             print(f"{index}\t{current}")
     print(f"RESULT {current}")
-    return _verdict_status(current)
+    return ExitStatus[current.name]
 
 
 def _load_lasso_file(path: str):
@@ -104,16 +103,39 @@ def cmd_oracle(args) -> ExitStatus:
     return ExitStatus.TRUE if holds else ExitStatus.FALSE
 
 
+def fuzz_report_lines(cases: list[FuzzCase]) -> list[str]:
+    """Deterministic report: FAIL and LIMIT lines in case order, then AGREE over decided cases."""
+    lines = []
+    for case in cases:
+        if case.agree:
+            continue
+        text = f"{case.index} {format_formula(case.formula)} {lasso_to_json(case.trace)}"
+        if case.limit_states:
+            lines.append(f"LIMIT {text} states={case.limit_states}")
+        else:
+            lines.append(
+                f"FAIL {text} automaton={str(case.automaton_result).lower()}"
+                f" oracle={str(case.oracle_result).lower()}"
+            )
+    decided = [case for case in cases if not case.limit_states]
+    lines.append(f"AGREE {sum(case.agree for case in decided)}/{len(decided)}")
+    return lines
+
+
 def cmd_fuzz(args) -> ExitStatus:
     bounds = GenBounds(max_depth=args.max_depth, max_quantifiers=args.max_quant)
-    report = fuzz_compare(args.seed, args.count, bounds, args.state_limit)
-    for line in report.report_lines():
+    started = time.perf_counter()
+    cases = fuzz_compare(args.seed, args.count, bounds, args.state_limit)
+    for line in fuzz_report_lines(cases):
         print(line)
-    for line in report.stats_lines():
-        print(line, file=sys.stderr)
-    if report.failures:
+    states = [case.state_count for case in cases]
+    if states:
+        mean = sum(states) / len(states)
+        print(f"STATES min={min(states)} max={max(states)} mean={mean:.2f}", file=sys.stderr)
+    print(f"TIME total={time.perf_counter() - started:.3f}s", file=sys.stderr)
+    if any(not case.agree and not case.limit_states for case in cases):
         return ExitStatus.FALSE
-    return ExitStatus.ERROR if report.limits else ExitStatus.TRUE
+    return ExitStatus.ERROR if any(case.limit_states for case in cases) else ExitStatus.TRUE
 
 
 def build_parser() -> argparse.ArgumentParser:

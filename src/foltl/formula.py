@@ -503,15 +503,6 @@ def node_count(formula: Formula) -> int:
     return 1 + sum(map(node_count, children(formula)))
 
 
-def free_variables(formula: Formula) -> frozenset[str]:
-    match formula:
-        case Eq(left, right) | Neq(left, right):
-            return frozenset(t.name for t in (left, right) if isinstance(t, Var))
-        case Exists(var, _, body) | Forall(var, _, body):
-            return free_variables(body) - {var}
-    return frozenset().union(*map(free_variables, children(formula)))
-
-
 def subformulas(formula: Formula) -> list[Formula]:
     """Subformula closure of a normal-form formula, in first-visit order.
 

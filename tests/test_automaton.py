@@ -33,7 +33,7 @@ from foltl.formula import (
     Release,
     Until,
     Var,
-    free_variables,
+    ensure_well_formed,
     node_count,
     parse,
     subformulas,
@@ -425,7 +425,7 @@ class TestDeltaInvariants:
                     assert 0 <= target < closure_size
                     target_formula = auto.states[target]
                     bound = frozenset(n for n, _ in target_valuation.bindings)
-                    assert free_variables(target_formula) <= bound
+                    ensure_well_formed(target_formula, bound)
                     assert temporal_depth(target_formula) <= temporal_depth(source)
                     if temporal_depth(target_formula) == temporal_depth(source):
                         assert isinstance(target_formula, (Until, Release))

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA
 from foltl import cli
@@ -229,6 +233,82 @@ class TestFuzz:
         first = capsys.readouterr().out
         assert main(["fuzz", "--seed", "9", "--count", "15"]) == 0
         assert capsys.readouterr().out == first
+
+
+# Bytes and tokens that break JSON or formula syntax in different ways.
+TOKENS = [
+    b"{", b"}", b"[", b"]", b'"', b'"m"', b":", b",", b"\\", b"\n", b"\xff", b"\x00",
+    b"1e999", b"null", b"true", b"exists", b"forall", b"in", b"->", b"U", b"R", b"X",
+    b"(", b")", b"=", b"!=", b"x", b'"/m/a"', b"#",
+]
+FORMULAS = sorted(str(path) for path in DATA.glob("*.ltl"))
+
+
+@st.composite
+def mutations(draw, original: bytes) -> bytes:
+    """The original with a few byte ranges deleted or tokens inserted."""
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        if draw(st.booleans()):
+            del data[at : at + draw(st.integers(1, 4))]
+        else:
+            data[at:at] = draw(st.one_of(st.sampled_from(TOKENS), st.binary(min_size=1, max_size=3)))
+    return bytes(data)
+
+
+def _assert_contract(argv):
+    """Exit in {0, 1, 2, 3}; stderr silent on a verdict, one error line on 3."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as done:  # argparse usage errors
+            code = done.code
+    errors = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, errors)
+    assert "Traceback" not in errors
+    if code == 3:
+        assert sum("error:" in line for line in errors.splitlines()) == 1, errors
+    else:
+        assert errors == "", errors
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+class TestExitCodeContract:
+    """Mutated copies of the shipped inputs, run in-process through main."""
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(FORMULAS).flatmap(lambda path: mutations(open(path, "rb").read())))
+    def test_mutated_formula(self, scratch, text):
+        formula = scratch / "mutated.ltl"
+        formula.write_bytes(text)
+        for command, *rest in (
+            ["compile", "--stats"],
+            ["monitor", "--trace", MIXED],
+            ["accept", "--lasso", GOOD],
+            ["oracle", "--lasso", GOOD],
+        ):
+            _assert_contract([command, "--formula", str(formula), *rest])
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(FORMULAS), mutations(open(MIXED, "rb").read()))
+    def test_mutated_trace(self, scratch, formula, text):
+        trace = scratch / "mutated.jsonl"
+        trace.write_bytes(text)
+        _assert_contract(["monitor", "--formula", formula, "--trace", str(trace)])
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(FORMULAS), mutations(open(GOOD, "rb").read()))
+    def test_mutated_lasso(self, scratch, formula, text):
+        lasso = scratch / "mutated.lasso.json"
+        lasso.write_bytes(text)
+        for command in ("accept", "oracle"):
+            _assert_contract([command, "--formula", formula, "--lasso", str(lasso)])
 
 
 class TestUsageErrors:

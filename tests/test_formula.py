@@ -30,7 +30,6 @@ from foltl.formula import (
     children,
     ensure_well_formed,
     format_formula,
-    free_variables,
     is_nnf,
     negate,
     node_count,
@@ -43,6 +42,14 @@ from foltl.formula import (
 A = Eq(Const("a"), Const("a"))
 B = Eq(Const("b"), Const("b"))
 C = Eq(Const("c"), Const("c"))
+
+
+def _closed(formula):
+    try:
+        ensure_well_formed(formula)
+    except UnboundVariableError:
+        return False
+    return True
 
 
 class TestParse:
@@ -267,9 +274,13 @@ class TestNormalForm:
     def test_temporal_depth_preserved(self, formula):
         assert temporal_depth(to_nnf(formula)) == temporal_depth(formula)
 
-    @given(strategies.formulas())
-    def test_free_variables_preserved(self, formula):
-        assert free_variables(to_nnf(formula)) == free_variables(formula)
+    @given(strategies.formulas(scope=frozenset({"x"})))
+    def test_well_formed_in_its_scope_preserved(self, formula):
+        # x is the only variable the formula may leave free, so being
+        # closed says whether x occurs free; to_nnf must keep both facts.
+        normal = to_nnf(formula)
+        ensure_well_formed(normal, frozenset({"x"}))
+        assert _closed(normal) == _closed(formula)
 
 
 class TestMeasures:
@@ -289,11 +300,6 @@ class TestMeasures:
     def test_node_count(self):
         assert node_count(A) == 1
         assert node_count(Until(A, And(B, C))) == 5
-
-    def test_free_variables(self):
-        body = Eq(Var("x"), Var("y"))
-        assert free_variables(body) == {"x", "y"}
-        assert free_variables(Exists("x", Path(("m", "a")), body)) == {"y"}
 
 
 class TestClosure:

@@ -8,7 +8,6 @@ import strategies
 from foltl.acceptance import (
     DEFAULT_STATE_LIMIT,
     FuzzCase,
-    FuzzReport,
     OracleEvaluator,
     ResourceLimitError,
     fuzz_compare,
@@ -16,6 +15,7 @@ from foltl.acceptance import (
     oracle_eval,
 )
 from foltl.automaton import EMPTY_VALUATION, build_automaton
+from foltl.cli import fuzz_report_lines, main
 from foltl.events import LassoTrace, load_lasso, parse_message
 from foltl.formula import Not, negate, parse, to_nnf
 from foltl.gen import GenBounds
@@ -162,35 +162,34 @@ class TestLassoAcceptance:
 
 class TestFuzz:
     def test_small_corpus_agrees(self):
-        report = fuzz_compare(42, 30)
-        assert len(report.cases) == 30
-        assert report.agreements == 30
-        assert report.failures == ()
-        assert report.report_lines() == ["AGREE 30/30"]
+        cases = fuzz_compare(42, 30)
+        assert len(cases) == 30
+        assert sum(case.agree for case in cases) == 30
+        assert fuzz_report_lines(cases) == ["AGREE 30/30"]
 
     def test_deeper_corpus_agrees(self):
-        report = fuzz_compare(42, 200, GenBounds(max_depth=5, max_quantifiers=3))
-        assert report.agreements == 200
+        cases = fuzz_compare(42, 200, GenBounds(max_depth=5, max_quantifiers=3))
+        assert sum(case.agree for case in cases) == 200
 
     def test_long_lassos_decide_within_a_small_state_limit(self):
         # The acceptance game has at most |positions| x |obligations|
         # vertices, so 1000 is room enough for lassos of up to 14 messages.
         bounds = GenBounds(max_depth=4, max_quantifiers=3, max_prefix=8, max_loop=6)
-        report = fuzz_compare(42, 300, bounds, state_limit=1000)
-        assert report.limits == ()
-        assert report.agreements == 300
+        cases = fuzz_compare(42, 300, bounds, state_limit=1000)
+        assert not any(case.limit_states for case in cases)
+        assert sum(case.agree for case in cases) == 300
 
     def test_report_is_deterministic(self):
         first = fuzz_compare(7, 10)
         second = fuzz_compare(7, 10)
-        assert first.report_lines() == second.report_lines()
-        assert [c.formula for c in first.cases] == [c.formula for c in second.cases]
-        assert [c.trace for c in first.cases] == [c.trace for c in second.cases]
+        assert fuzz_report_lines(first) == fuzz_report_lines(second)
+        assert [c.formula for c in first] == [c.formula for c in second]
+        assert [c.trace for c in first] == [c.trace for c in second]
 
     def test_seeds_vary_the_corpus(self):
         first = fuzz_compare(1, 10)
         second = fuzz_compare(2, 10)
-        assert [c.formula for c in first.cases] != [c.formula for c in second.cases]
+        assert [c.formula for c in first] != [c.formula for c in second]
 
     def test_failure_line_format(self):
         trace = LassoTrace((), (parse_message('{"m":{}}'),))
@@ -201,7 +200,6 @@ class TestFuzz:
             automaton_result=True,
             oracle_result=False,
             state_count=3,
-            node_count=1,
         )
         agreeing = FuzzCase(
             index=4,
@@ -210,7 +208,6 @@ class TestFuzz:
             automaton_result=False,
             oracle_result=False,
             state_count=3,
-            node_count=1,
         )
         limited = FuzzCase(
             index=5,
@@ -219,21 +216,17 @@ class TestFuzz:
             automaton_result=None,
             oracle_result=None,
             state_count=3,
-            node_count=1,
             limit_states=51,
         )
-        cases = (disagreeing, agreeing, limited)
-        report = FuzzReport(seed=0, bounds=GenBounds(), cases=cases, total_seconds=0.5)
         assert not disagreeing.agree and agreeing.agree and not limited.agree
-        assert report.failures == (disagreeing,) and report.limits == (limited,)
-        assert report.report_lines() == [
+        assert fuzz_report_lines([disagreeing, agreeing, limited]) == [
             'FAIL 3 true {"prefix":[],"loop":[{"m":{}}]} automaton=true oracle=false',
             'LIMIT 5 true {"prefix":[],"loop":[{"m":{}}]} states=51',
             "AGREE 1/2",
         ]
 
-    def test_stats_shapes(self):
-        report = fuzz_compare(42, 5)
-        stats = report.stats_lines()
+    def test_stats_shapes(self, capsys):
+        assert main(["fuzz", "--count", "5"]) == 0
+        stats = capsys.readouterr().err.splitlines()
         assert re.fullmatch(r"STATES min=\d+ max=\d+ mean=\d+\.\d\d", stats[0])
         assert re.fullmatch(r"TIME total=\d+\.\d\d\ds", stats[1])

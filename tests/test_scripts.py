@@ -1,0 +1,37 @@
+"""Smoke tests for scripts/: each runs in-process as its own __main__."""
+import pathlib
+import runpy
+import sys
+
+SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
+
+
+def _run(monkeypatch, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    try:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    except SystemExit as done:
+        return done.code
+    return 0
+
+
+def test_fuzz_sweep_prints_one_row_per_cell(monkeypatch, capsys):
+    code = _run(
+        monkeypatch, "fuzz_sweep.py", "--seed", "42", "--count", "5", "--depths", "1", "2", "--quants", "0", "1"
+    )
+    assert code == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["depth", "quant", "agree", "states(min/mean/max)", "time"]
+    assert [row.split()[:3] for row in rows] == [
+        ["1", "0", "5/5"],
+        ["1", "1", "5/5"],
+        ["2", "0", "5/5"],
+        ["2", "1", "5/5"],
+    ]
+
+
+def test_demo_runs(monkeypatch, capsys):
+    assert _run(monkeypatch, "demo_request_ack.py") == 0
+    out = capsys.readouterr().out
+    assert "lasso discharged automaton=True oracle=True" in out
+    assert "lasso dropped    automaton=False oracle=False" in out
