@@ -26,8 +26,8 @@ def run_cell(seed: int, count: int, depth: int, quantifiers: int) -> tuple[bool,
     cases = fuzz_compare(seed, count, bounds)
     elapsed = time.perf_counter() - started
     states = [case.state_count for case in cases]
-    mean = sum(states) / len(states)
-    sizes = f"{min(states)}/{mean:.1f}/{max(states)}"
+    # An empty corpus has no sizes, as foltl fuzz then prints no STATES line.
+    sizes = f"{min(states)}/{sum(states) / len(states):.1f}/{max(states)}" if states else "-"
     agreements = sum(case.agree for case in cases)
     row = (
         f"{depth:>5} {quantifiers:>5} {agreements:>5}/{len(cases):<3}"

@@ -18,7 +18,6 @@ from .automaton import (
     EMPTY_VALUATION,
     Automaton,
     TransitionDnf,
-    UndefinedVariableError,
     Valuation,
     build_automaton,
 )

@@ -4,7 +4,8 @@ oracle_eval decides satisfaction by brute force straight from the
 temporal unfolding laws: per subformula and valuation it computes the
 set of canonical positions where the formula holds, taking Until as a
 least and Release as a greatest fixpoint over that finite position
-space.  It never touches the automaton machinery.
+space.  It never touches the automaton machinery: it shares only
+value_of, the lookup of a term's value under a valuation.
 
 lasso_accepts decides acceptance of the compiled automaton as the
 alternating automaton's own Buchi game on (canonical position,
@@ -27,6 +28,7 @@ from .automaton import (
     Obligation,
     Valuation,
     build_automaton,
+    value_of,
 )
 from .events import LassoTrace, canonical_position, dom, position_message
 from .formula import (
@@ -46,6 +48,7 @@ from .formula import (
     Release,
     TrueLit,
     Until,
+    ensure_well_formed,
     to_nnf,
 )
 from .gen import GenBounds, case_rng, gen_formula, gen_lasso
@@ -76,6 +79,8 @@ class OracleEvaluator:
         self._memo: dict[tuple[Formula, Valuation], frozenset[int]] = {}
 
     def holds(self, valuation: Valuation, formula: Formula, index: int = 0) -> bool:
+        """Satisfaction at the position; a FormulaError unless well formed in the valuation's scope."""
+        ensure_well_formed(formula, frozenset(name for name, _ in valuation))
         return canonical_position(self.trace, index) in self.sat(formula, valuation)
 
     def _successor(self, position: int) -> int:
@@ -108,10 +113,10 @@ class OracleEvaluator:
             case FalseLit():
                 return frozenset()
             case Eq(left, right):
-                holds = p.value_of(left) == p.value_of(right)
+                holds = value_of(p, left) == value_of(p, right)
                 return self.all_positions if holds else frozenset()
             case Neq(left, right):
-                holds = p.value_of(left) != p.value_of(right)
+                holds = value_of(p, left) != value_of(p, right)
                 return self.all_positions if holds else frozenset()
             case Not(body):
                 return self.all_positions - self.sat(body, p)
@@ -143,7 +148,7 @@ class OracleEvaluator:
                     pos
                     for pos in self.all_positions
                     if quantifier(
-                        pos in self.sat(body, p.extend(var, value))
+                        pos in self.sat(body, p | {(var, value)})
                         for value in sorted(dom(self.messages[pos], path))
                     )
                 )

@@ -2,15 +2,18 @@
 
 States are the subformula closure plus two absorbing pits, TOP and
 BOTTOM; the accepting states are the Release members of the closure
-plus TOP, and construction walks the formula once, through subformulas.
-A transition maps an obligation (variable valuation, state) and a
-message to a positive boolean combination of successor obligations,
-built directly in disjunctive normal form: a set of conjuncts with no
-canonical order, none a subset of another.  Atoms that hold become the
-empty conjunct and atoms that fail the empty disjunction, so the pits
-never appear inside a conjunct.  Quantifiers expand over the value
-domain the current message yields for their path, so the automaton
-stays finite-state while valuations live inside obligations.
+plus TOP.  Construction checks scoping, then walks the formula once,
+through subformulas, which also numbers the states.  A transition maps
+an obligation (variable valuation, state) and a message to a positive
+boolean combination of successor obligations, built directly in
+disjunctive normal form: a set of conjuncts with no canonical order,
+none a subset of another.  Atoms that hold become the empty conjunct
+and atoms that fail the empty disjunction, so the pits never appear
+inside a conjunct.  Quantifiers expand over the value domain the
+current message yields for their path, so the automaton stays
+finite-state while valuations live inside obligations; a reachable
+obligation's valuation binds its state's free variables and none that
+the state quantifies again.
 """
 from __future__ import annotations
 
@@ -32,51 +35,28 @@ from .formula import (
     Until,
     Var,
     _quote,
+    ensure_well_formed,
     format_formula,
     subformulas,
 )
 
 
-class UndefinedVariableError(ValueError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"no value bound for variable {name!r}")
+# A valuation binds each variable in scope to a value, as a set of
+# (name, value) pairs.  Scoping is checked when a formula is built, so
+# binding a value is p | {(var, value)} and no name is ever bound twice.
+Valuation = frozenset[tuple[str, str]]
+EMPTY_VALUATION: Valuation = frozenset()
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """Immutable variable binding, canonically ordered by name."""
-
-    bindings: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.bindings))
-        names = [name for name, _ in ordered]
-        if len(set(names)) != len(names):
-            raise ValueError("valuation binds a variable twice")
-        object.__setattr__(self, "bindings", ordered)
-
-    def get(self, name: str) -> str | None:
-        for bound, value in self.bindings:
-            if bound == name:
+def value_of(valuation: Valuation, term: Term) -> str:
+    """A constant's value, or the one the valuation binds a variable to; KeyError if none."""
+    if isinstance(term, Var):
+        for name, value in valuation:
+            if name == term.name:
                 return value
-        return None
+        raise KeyError(term.name)
+    return term.value
 
-    def extend(self, name: str, value: str) -> Valuation:
-        if self.get(name) is not None:
-            raise ValueError(f"variable {name!r} is already bound")
-        return Valuation(self.bindings + ((name, value),))
-
-    def value_of(self, term: Term) -> str:
-        if isinstance(term, Var):
-            value = self.get(term.name)
-            if value is None:
-                raise UndefinedVariableError(term.name)
-            return value
-        return term.value
-
-
-EMPTY_VALUATION = Valuation()
 
 Obligation = tuple[Valuation, int]
 Conjunct = frozenset[Obligation]
@@ -163,17 +143,18 @@ class Automaton:
     """
 
     def __init__(self, source: Formula):
-        closure = subformulas(source)
+        ensure_well_formed(source)
+        self._refs = subformulas(source)
         self.source = source
-        self.states: tuple[Formula | _Pit, ...] = (*closure, TOP, BOTTOM)
-        self.top = len(closure)
-        self.bottom = len(closure) + 1
-        self._refs = {f: i for i, f in enumerate(closure)}
+        self.states: tuple[Formula | _Pit, ...] = (*self._refs, TOP, BOTTOM)
+        self.top = len(self._refs)
+        self.bottom = len(self._refs) + 1
         self.accepting = frozenset(
-            ref for ref, f in enumerate(closure) if isinstance(f, Release)
+            ref for f, ref in self._refs.items() if isinstance(f, Release)
         ) | {self.top}
-        self.variables = frozenset(f.var for f in closure if isinstance(f, (Exists, Forall)))
-        self.initial: Obligation = (EMPTY_VALUATION, self._refs[source])
+        self.variables = frozenset(f.var for f in self._refs if isinstance(f, (Exists, Forall)))
+        # The source is the closure's first member.
+        self.initial: Obligation = (EMPTY_VALUATION, 0)
 
     def ref_of(self, formula: Formula) -> int:
         return self._refs[formula]
@@ -185,8 +166,11 @@ class Automaton:
     def delta(self, valuation: Valuation, state: int, message: Message) -> TransitionDnf:
         """One-step obligation rewrite against a message, normalized.
 
-        Pure in all three arguments; callers that revisit the same
-        (valuation, state) pair within one message should memoize.
+        The valuation binds the state's free variables, as it does in
+        every obligation reachable from the initial one: the source is
+        well formed, so no quantifier rebinds a variable.  Pure in all
+        three arguments; callers that revisit the same (valuation,
+        state) pair within one message should memoize.
         """
         if state == self.top:
             return TRUE_DNF
@@ -199,9 +183,9 @@ class Automaton:
     def _transition(self, p: Valuation, f: Formula, m: Message) -> list[Conjunct]:
         match f:
             case Eq(left, right):
-                return [frozenset()] if p.value_of(left) == p.value_of(right) else []
+                return [frozenset()] if value_of(p, left) == value_of(p, right) else []
             case Neq(left, right):
-                return [frozenset()] if p.value_of(left) != p.value_of(right) else []
+                return [frozenset()] if value_of(p, left) != value_of(p, right) else []
             case Or(left, right):
                 return self._transition(p, left, m) + self._transition(p, right, m)
             case And(left, right):
@@ -220,11 +204,11 @@ class Automaton:
                 return [
                     conjunct
                     for value in dom(m, path)
-                    for conjunct in self._transition(p.extend(var, value), body, m)
+                    for conjunct in self._transition(p | {(var, value)}, body, m)
                 ]
             case Forall(var, path, body):
                 return _conjoin(
-                    self._transition(p.extend(var, value), body, m) for value in dom(m, path)
+                    self._transition(p | {(var, value)}, body, m) for value in dom(m, path)
                 )
         raise ValueError(f"no transition rule for {f!r}")
 

@@ -195,3 +195,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -503,27 +503,27 @@ def node_count(formula: Formula) -> int:
     return 1 + sum(map(node_count, children(formula)))
 
 
-def subformulas(formula: Formula) -> list[Formula]:
-    """Subformula closure of a normal-form formula, in first-visit order.
+def subformulas(formula: Formula) -> dict[Formula, int]:
+    """Subformula closure of a normal-form formula, numbered in first-visit order.
 
-    The formula itself is a member.  Binary connectives and U, R
+    The formula itself is member 0.  Binary connectives and U, R
     contribute both operands, X and the quantifiers contribute the body,
     and equality atoms only themselves.  Structurally equal subtrees are
     collapsed, so the result can be shorter than the node count.
     """
-    seen: dict[Formula, None] = {}
+    seen: dict[Formula, int] = {}
 
     def walk(f: Formula) -> None:
         if f in seen:
             return
         if not isinstance(f, _NNF_KINDS):
             raise ValueError("subformula closure is defined on negation normal form only")
-        seen[f] = None
+        seen[f] = len(seen)
         for child in children(f):
             walk(child)
 
     walk(formula)
-    return list(seen)
+    return seen
 
 
 def ensure_well_formed(formula: Formula, scope: frozenset[str] = frozenset()) -> None:

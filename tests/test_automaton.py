@@ -13,13 +13,13 @@ from foltl.automaton import (
     TRUE_DNF,
     Automaton,
     TransitionDnf,
-    UndefinedVariableError,
-    Valuation,
     build_automaton,
     dnf_and,
     dnf_or,
+    value_of,
 )
-from foltl.events import parse_message
+from foltl.acceptance import oracle_eval
+from foltl.events import LassoTrace, parse_message
 from foltl.formula import (
     And,
     Const,
@@ -31,6 +31,8 @@ from foltl.formula import (
     Or,
     Path,
     Release,
+    ShadowedVariableError,
+    UnboundVariableError,
     Until,
     Var,
     ensure_well_formed,
@@ -50,42 +52,48 @@ STOCK = parse_message(
     '"stock":[{"name":"stock-1","amount":"123"},{"name":"stock-2","amount":"456"}]}}'
 )
 AB = parse_message('{"m":{"a":["a","b"]}}')
+FREE_X = Eq(Var("x"), Const("a"))
+REBOUND = Exists("x", Path(("m", "a")), Exists("x", Path(("m", "a")), FREE_X))
+LOOP_AB = LassoTrace(prefix=(), loop=(AB,))
 
 
 class TestValuation:
-    def test_bindings_sort_canonically(self):
-        assert Valuation((("y", "2"), ("x", "1"))) == Valuation((("x", "1"), ("y", "2")))
-        assert Valuation((("y", "2"), ("x", "1"))).bindings == (("x", "1"), ("y", "2"))
+    def test_equality_ignores_order(self):
+        x_first = EMPTY_VALUATION | {("x", "1")} | {("y", "2")}
+        y_first = EMPTY_VALUATION | {("y", "2")} | {("x", "1")}
+        assert x_first == y_first and hash(x_first) == hash(y_first)
 
     def test_double_binding_rejected(self):
-        with pytest.raises(ValueError):
-            Valuation((("x", "1"), ("x", "2")))
+        with pytest.raises(ShadowedVariableError) as err:
+            build_automaton(REBOUND)
+        assert err.value.name == "x"
 
-    def test_get(self):
-        v = Valuation((("x", "1"),))
-        assert v.get("x") == "1"
-        assert v.get("y") is None
+    def test_value_of_bound_variable(self):
+        assert value_of(frozenset({("x", "1"), ("y", "2")}), Var("y")) == "2"
 
     def test_extend_is_persistent(self):
-        v = EMPTY_VALUATION.extend("x", "1")
-        assert EMPTY_VALUATION.bindings == ()
-        assert v.get("x") == "1"
+        v = EMPTY_VALUATION | {("x", "1")}
+        assert EMPTY_VALUATION == frozenset()
+        assert value_of(v, Var("x")) == "1"
 
-    def test_extend_rejects_rebinding(self):
-        with pytest.raises(ValueError):
-            Valuation((("x", "1"),)).extend("x", "2")
+    def test_oracle_rejects_rebinding(self):
+        with pytest.raises(ShadowedVariableError):
+            oracle_eval(EMPTY_VALUATION, REBOUND, LOOP_AB)
+        inner = Exists("x", Path(("m", "a")), FREE_X)
+        with pytest.raises(ShadowedVariableError):
+            oracle_eval(frozenset({("x", "a")}), inner, LOOP_AB)
 
     def test_value_of_constant_ignores_bindings(self):
-        assert EMPTY_VALUATION.value_of(Const("k")) == "k"
+        assert value_of(EMPTY_VALUATION, Const("k")) == "k"
 
     def test_value_of_unbound_variable(self):
-        with pytest.raises(UndefinedVariableError) as err:
-            EMPTY_VALUATION.value_of(Var("x"))
-        assert err.value.name == "x"
+        with pytest.raises(KeyError) as err:
+            value_of(EMPTY_VALUATION, Var("x"))
+        assert err.value.args == ("x",)
 
 
 def _ob(state, **bindings):
-    return (Valuation(tuple(bindings.items())), state)
+    return (frozenset(bindings.items()), state)
 
 
 def _lit(state, **bindings):
@@ -153,7 +161,7 @@ class TestDnfConversion:
 _UNIVERSE = (
     (EMPTY_VALUATION, 0),
     (EMPTY_VALUATION, 1),
-    (Valuation((("x", "a"),)), 1),
+    (frozenset({("x", "a")}), 1),
     (EMPTY_VALUATION, 2),
 )
 
@@ -298,15 +306,16 @@ class TestDelta:
         phi = Exists("x", Path(("m", "a")), Eq(Var("x"), Const("b")))
         auto = build_automaton(phi)
         atom = auto.ref_of(Eq(Var("x"), Const("b")))
-        assert auto.delta(Valuation((("x", "b"),)), atom, AB) == TRUE_DNF
-        assert auto.delta(Valuation((("x", "a"),)), atom, AB) == FALSE_DNF
+        assert auto.delta(frozenset({("x", "b")}), atom, AB) == TRUE_DNF
+        assert auto.delta(frozenset({("x", "a")}), atom, AB) == FALSE_DNF
 
     def test_unbound_variable_raises(self):
-        phi = Exists("x", Path(("m", "a")), Eq(Var("x"), Const("b")))
-        auto = build_automaton(phi)
-        atom = auto.ref_of(Eq(Var("x"), Const("b")))
-        with pytest.raises(UndefinedVariableError):
-            auto.delta(EMPTY_VALUATION, atom, AB)
+        with pytest.raises(UnboundVariableError) as err:
+            build_automaton(FREE_X)
+        assert err.value.name == "x"
+        with pytest.raises(UnboundVariableError):
+            oracle_eval(EMPTY_VALUATION, FREE_X, LOOP_AB)
+        assert oracle_eval(frozenset({("x", "a")}), FREE_X, LOOP_AB)
 
     def test_next_defers_to_the_body(self):
         phi = Next(A)
@@ -365,8 +374,8 @@ class TestDelta:
         assert got == TransitionDnf(
             frozenset(
                 {
-                    frozenset({(Valuation((("x", "a"),)), atom)}),
-                    frozenset({(Valuation((("x", "b"),)), atom)}),
+                    frozenset({(frozenset({("x", "a")}), atom)}),
+                    frozenset({(frozenset({("x", "b")}), atom)}),
                 }
             )
         )
@@ -381,8 +390,8 @@ class TestDelta:
                 {
                     frozenset(
                         {
-                            (Valuation((("x", "a"),)), atom),
-                            (Valuation((("x", "b"),)), atom),
+                            (frozenset({("x", "a")}), atom),
+                            (frozenset({("x", "b")}), atom),
                         }
                     ),
                 }
@@ -402,7 +411,7 @@ def _reachable(auto, messages):
     seen = []
     for message in messages:
         step: set = set()
-        for valuation, state in sorted(frontier, key=lambda o: (o[1], o[0].bindings)):
+        for valuation, state in sorted(frontier, key=lambda o: (o[1], sorted(o[0]))):
             dnf = auto.delta(valuation, state, message)
             seen.append(((valuation, state), dnf))
             for conjunct in dnf.conjuncts:
@@ -424,7 +433,7 @@ class TestDeltaInvariants:
                 for target_valuation, target in conjunct:
                     assert 0 <= target < closure_size
                     target_formula = auto.states[target]
-                    bound = frozenset(n for n, _ in target_valuation.bindings)
+                    bound = frozenset(n for n, _ in target_valuation)
                     ensure_well_formed(target_formula, bound)
                     assert temporal_depth(target_formula) <= temporal_depth(source)
                     if temporal_depth(target_formula) == temporal_depth(source):

@@ -1,15 +1,19 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strategies
 from conftest import DATA
 from foltl import cli
 from foltl.cli import ExitStatus, build_parser, load_formula, main
-from foltl.formula import MAX_NESTING, Exists, Release, parse
+from foltl.formula import MAX_NESTING, Exists, Release, format_formula, parse
 
 REQ_ACK = str(DATA / "request_ack.ltl")
 SAFETY = str(DATA / "safety.ltl")
@@ -17,6 +21,7 @@ WITNESS = str(DATA / "witness.ltl")
 GOOD = str(DATA / "good.lasso.json")
 BAD = str(DATA / "bad.lasso.json")
 MIXED = str(DATA / "mixed.jsonl")
+SRC = str(DATA.parents[1] / "src")
 DEEP = '{"m":' * 1200 + '"x"' + "}" * 1200
 
 
@@ -258,7 +263,7 @@ def mutations(draw, original: bytes) -> bytes:
 
 
 def _assert_contract(argv):
-    """Exit in {0, 1, 2, 3}; stderr silent on a verdict, one error line on 3."""
+    """Exit in {0, 1, 2, 3}, returned; stderr silent on a verdict, one error line on 3."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -272,6 +277,7 @@ def _assert_contract(argv):
         assert sum("error:" in line for line in errors.splitlines()) == 1, errors
     else:
         assert errors == "", errors
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +315,18 @@ class TestExitCodeContract:
         lasso.write_bytes(text)
         for command in ("accept", "oracle"):
             _assert_contract([command, "--formula", formula, "--lasso", str(lasso)])
+
+
+    @settings(max_examples=100)
+    @given(strategies.formulas())
+    def test_random_formula_file(self, scratch, formula):
+        path = scratch / "random.ltl"
+        path.write_text(format_formula(formula), encoding="utf-8")
+        _assert_contract(["compile", "--formula", str(path)])
+        for lasso in (GOOD, BAD):
+            accepted = _assert_contract(["accept", "--formula", str(path), "--lasso", lasso])
+            holds = _assert_contract(["oracle", "--formula", str(path), "--lasso", lasso])
+            assert accepted in (0, 1) and accepted == holds, (format_formula(formula), lasso)
 
 
 class TestUsageErrors:
@@ -352,3 +370,13 @@ class TestEntryPoint:
         )
         assert done.returncode == 0
         assert done.stdout == "RESULT TRUE\n"
+
+    @pytest.mark.parametrize("lasso,status,word", [(GOOD, 0, "TRUE"), (BAD, 1, "FALSE")])
+    def test_module_runs_as_a_script(self, lasso, status, word):
+        done = subprocess.run(
+            [sys.executable, "-m", "foltl.cli", "accept", "--formula", REQ_ACK, "--lasso", lasso],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (status, f"RESULT {word}\n", "")

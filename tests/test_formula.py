@@ -304,21 +304,21 @@ class TestMeasures:
 
 class TestClosure:
     def test_atom_closure_is_itself(self):
-        assert subformulas(A) == [A]
+        assert subformulas(A) == {A: 0}
 
     def test_until_closure_in_first_visit_order(self):
         phi = Until(A, B)
-        assert subformulas(phi) == [phi, A, B]
+        assert subformulas(phi) == {phi: 0, A: 1, B: 2}
 
     def test_release_with_quantifier(self):
         body = Eq(Var("x"), Const("b"))
         exists = Exists("x", Path(("m", "a")), body)
         phi = Release(A, exists)
-        assert subformulas(phi) == [phi, A, exists, body]
+        assert subformulas(phi) == {phi: 0, A: 1, exists: 2, body: 3}
 
     def test_duplicate_subtrees_collapse(self):
         phi = Or(A, A)
-        assert subformulas(phi) == [phi, A]
+        assert subformulas(phi) == {phi: 0, A: 1}
 
     def test_requires_normal_form(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,13 @@ def test_fuzz_sweep_prints_one_row_per_cell(monkeypatch, capsys):
     ]
 
 
+def test_fuzz_sweep_empty_corpus_prints_a_row_without_sizes(monkeypatch, capsys):
+    code = _run(monkeypatch, "fuzz_sweep.py", "--count", "0", "--depths", "1", "--quants", "0")
+    assert code == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.split()[:4] == ["1", "0", "0/0", "-"]
+
+
 def test_demo_runs(monkeypatch, capsys):
     assert _run(monkeypatch, "demo_request_ack.py") == 0
     out = capsys.readouterr().out
