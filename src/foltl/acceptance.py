@@ -7,12 +7,11 @@ least and Release as a greatest fixpoint over that finite position
 space.  It never touches the automaton machinery: it shares only
 value_of, the lookup of a term's value under a valuation.
 
-lasso_accepts decides acceptance of the compiled automaton as the
-alternating automaton's own Buchi game on (canonical position,
-obligation) pairs: Eve picks a conjunct of each rewrite, Adam picks an
-obligation in it, and the trace is accepted iff Eve wins from the
-initial obligation at position 0.  The game is explored in full and
-solved by a nested fixpoint of worklist attractors.
+lasso_accepts decides acceptance of the compiled automaton on
+(canonical position, obligation) pairs.  The automaton is very weak,
+so a run that holds an obligation forever holds it in one state, and
+one memoized walk per obligation along the lasso decides each pair
+once.
 
 fuzz_compare drives both over a seeded random corpus and returns one
 FuzzCase per case; the CLI's fuzz command reports them.  Agreement
@@ -165,80 +164,55 @@ def lasso_accepts(
 ) -> bool:
     """Buchi acceptance of the compiled automaton on a lasso trace.
 
-    This is the alternating automaton's own acceptance game.  A vertex is
-    a canonical position with one obligation; Eve picks a conjunct of
-    its rewrite against that position's message, and Adam picks one
-    obligation of the conjunct at the next canonical position.  The
-    trace is accepted iff Eve wins from (0, initial).  state_limit counts
-    the game vertices discovered, at most |positions| x |obligations|.
+    The automaton is very weak: every conjunct of a rewrite holds the
+    obligation itself again or obligations on strict subformulas.  So
+    an obligation is walked along the canonical positions while it
+    stays pending.  At each position every obligation of every conjunct
+    other than the walked one is decided first, at the next position.
+    The walk is won where some conjunct leaves the obligation out and
+    all its obligations are won, goes on where a conjunct holds it again
+    and all its other obligations are won, and is lost otherwise; a walk
+    that comes back to a position it visited is won iff the state is
+    accepting.  Every position of a walk gets its verdict.  The trace is
+    accepted iff the initial obligation is won at position 0.
+    state_limit counts the (position, obligation) pairs decided, at
+    most |positions| x |obligations|.
     """
+    won: dict[tuple[int, Obligation], bool] = {}
+    pairs = 0
 
-    def moves(vertex: tuple[int, Obligation]) -> list[tuple[tuple[int, Obligation], ...]]:
-        position, (valuation, state) = vertex
-        after = canonical_position(trace, position + 1)
-        rewrite = automaton.delta(valuation, state, position_message(trace, position))
-        return [tuple((after, o) for o in conjunct) for conjunct in rewrite.conjuncts]
+    def wins(position: int, obligation: Obligation) -> bool:
+        nonlocal pairs
+        valuation, state = obligation
+        walk: list[int] = []
+        while (verdict := won.get((position, obligation))) is None:
+            if position in walk:
+                verdict = state in automaton.accepting
+                break
+            pairs += 1
+            if pairs > state_limit:
+                raise ResourceLimitError(pairs)
+            walk.append(position)
+            after = canonical_position(trace, position + 1)
+            rewrite = automaton.delta(valuation, state, position_message(trace, position))
+            leaves = holds = False
+            for conjunct in rewrite.conjuncts:
+                # Decide every obligation, so the pairs decided do not
+                # depend on the order a set is iterated in.
+                if all([wins(after, o) for o in conjunct - {obligation}]):
+                    if obligation in conjunct:
+                        holds = True
+                    else:
+                        leaves = True
+            if leaves or not holds:
+                verdict = leaves
+                break
+            position = after
+        for visited in walk:
+            won[visited, obligation] = verdict
+        return verdict
 
-    return _eve_wins((0, automaton.initial), moves, lambda v: v[1][1] in automaton.accepting, state_limit)
-
-
-def _eve_wins(start, moves, accepting, state_limit: int) -> bool:
-    """Whether Eve wins the Buchi game from start.
-
-    moves(vertex) lists Eve's options, each a tuple of targets of which
-    Adam picks one: an empty option wins for Eve, and a vertex with no
-    option loses for her.  Eve wins a play that visits accepting
-    vertices infinitely often.  Her winning region is
-    nu Z. mu Y. (accepting & CPre(Z)) | CPre(Y), where CPre(X) holds the
-    vertices with an option inside X.  Each mu Y is a worklist attractor
-    with one counter per option, so each of at most |vertices| rounds is
-    linear in the size of the game.  ResourceLimitError is raised once
-    more than state_limit vertices are discovered.
-    """
-    # Vertices are numbered as discovered, the start as 0, and the loop
-    # walks the list as it grows.  options[v] lists v's options as lists
-    # of target numbers; holders[t] has a (v, i) per time option i names t.
-    number = {start: 0}
-    vertices = [start]
-    options: list[list[list[int]]] = []
-    holders: list[list[tuple[int, int]]] = [[]]
-    for v, vertex in enumerate(vertices):
-        options.append([])
-        for i, targets in enumerate(moves(vertex)):
-            options[v].append([])
-            for target in targets:
-                t = number.get(target)
-                if t is None:
-                    if len(vertices) >= state_limit:
-                        raise ResourceLimitError(len(vertices) + 1)
-                    t = number[target] = len(vertices)
-                    vertices.append(target)
-                    holders.append([])
-                options[v][i].append(t)
-                holders[t].append((v, i))
-    final = [accepting(vertex) for vertex in vertices]
-    winning = [True] * len(vertices)
-    while True:
-        # Per option, its target entries not yet in the attractor.
-        missing = [[len(option) for option in choices] for choices in options]
-        work = [
-            v
-            for v, choices in enumerate(options)
-            if any(not option or final[v] and all(winning[t] for t in option) for option in choices)
-        ]
-        attractor = [False] * len(vertices)
-        while work:
-            v = work.pop()
-            if not attractor[v]:
-                attractor[v] = True
-                for u, i in holders[v]:
-                    missing[u][i] -= 1
-                    if not missing[u][i]:
-                        work.append(u)
-        # Attractors only shrink, so a lost start vertex stays lost.
-        if not attractor[0] or attractor == winning:
-            return attractor[0]
-        winning = attractor
+    return wins(0, automaton.initial)
 
 
 @dataclass(frozen=True)

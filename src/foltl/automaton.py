@@ -120,18 +120,9 @@ def dnf_and(dnfs: Iterable[TransitionDnf]) -> TransitionDnf:
     return TransitionDnf(frozenset(_conjoin(d.conjuncts for d in dnfs)))
 
 
-class _Pit:
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def __repr__(self) -> str:
-        return self.label
-
-
-TOP = _Pit("TOP")
-BOTTOM = _Pit("BOTTOM")
+# The pits are the only states that are not formulas, so a string will do.
+TOP = "TOP"
+BOTTOM = "BOTTOM"
 
 
 class Automaton:
@@ -146,7 +137,7 @@ class Automaton:
         ensure_well_formed(source)
         self._refs = subformulas(source)
         self.source = source
-        self.states: tuple[Formula | _Pit, ...] = (*self._refs, TOP, BOTTOM)
+        self.states: tuple[Formula | str, ...] = (*self._refs, TOP, BOTTOM)
         self.top = len(self._refs)
         self.bottom = len(self._refs) + 1
         self.accepting = frozenset(
@@ -156,12 +147,9 @@ class Automaton:
         # The source is the closure's first member.
         self.initial: Obligation = (EMPTY_VALUATION, 0)
 
-    def ref_of(self, formula: Formula) -> int:
-        return self._refs[formula]
-
     def state_label(self, ref: int) -> str:
         state = self.states[ref]
-        return state.label if isinstance(state, _Pit) else format_formula(state)
+        return state if isinstance(state, str) else format_formula(state)
 
     def delta(self, valuation: Valuation, state: int, message: Message) -> TransitionDnf:
         """One-step obligation rewrite against a message, normalized.

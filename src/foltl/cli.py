@@ -42,11 +42,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_formula(path: str) -> Formula:
-    """One formula per file; lines whose first character is # are comments."""
+    """One formula per file; lines whose first character is # are comments.
+
+    Text mode reads every line break as \\n, so splitting there keeps
+    U+2028 and the other Unicode breaks inside string constants.
+    """
     with open(path, encoding="utf-8") as handle:
         lines = [
             line
-            for line in handle.read().splitlines()
+            for line in handle.read().split("\n")
             if line.strip() and not line.lstrip().startswith("#")
         ]
     return parse(" ".join(lines))

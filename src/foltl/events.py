@@ -9,6 +9,7 @@ a nonempty loop repeated forever.
 """
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -148,7 +149,8 @@ def iter_messages(lines: Iterable[str]) -> Iterator[Message]:
 
 
 def load_trace(text: str) -> tuple[Message, ...]:
-    return tuple(iter_messages(text.splitlines()))
+    """JSON Lines text split only at \\n, \\r\\n and \\r, as a text-mode file is."""
+    return tuple(iter_messages(io.StringIO(text, newline=None)))
 
 
 def load_lasso(text: str) -> LassoTrace:

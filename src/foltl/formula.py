@@ -7,9 +7,10 @@ to each value the quoted path extracts from the current message, and
 quantifier-bound variable or a double-quoted string constant.
 
 ``children`` is the one structural walk: every pass that needs only the
-shape of the tree (normal-form test, measures, free variables, closure,
-scoping) recurses through it.  ``to_nnf`` and ``format_formula`` match
-each node kind explicitly, because they state its meaning.
+shape of the tree (normal-form test, measures, closure, scoping)
+recurses through it.  ``format_formula`` matches each node kind
+explicitly, because it states its meaning.  ``to_nnf`` maps a negated
+normal-form kind through one De Morgan table and lowers the others.
 """
 from __future__ import annotations
 
@@ -238,7 +239,13 @@ MAX_NESTING = 100
 _UNARY = {"G": Globally, "F": Finally, "X": Next, "!": Not}
 # Binary precedence levels, loosest first; every level is right associative.
 _INFIX = ({"->": Implies}, {"|": Or}, {"&": And}, {"U": Until, "R": Release})
-_SYMBOL = {kind: symbol for table in (_UNARY, *_INFIX) for symbol, kind in table.items()}
+_QUANTIFIER = {"exists": Exists, "forall": Forall}
+_COMPARE = {"=": Eq, "!=": Neq}
+_SYMBOL = {
+    kind: symbol
+    for table in (_UNARY, *_INFIX, _QUANTIFIER, _COMPARE)
+    for symbol, kind in table.items()
+}
 
 
 class Parser:
@@ -300,14 +307,13 @@ class Parser:
         tok = self._peek()
         if tok.kind in _UNARY:
             return _UNARY[tok.kind](self._nested(self._advance(), self._unary))
-        if tok.kind in ("exists", "forall"):
+        if tok.kind in _QUANTIFIER:
             self._advance()
             name = self._expect("IDENT").text
             self._expect("in")
             path = self._path()
             self._expect(":")
-            body = self._nested(tok, self._unary)
-            return Exists(name, path, body) if tok.kind == "exists" else Forall(name, path, body)
+            return _QUANTIFIER[tok.kind](name, path, self._nested(tok, self._unary))
         return self._atom()
 
     def _path(self) -> Path:
@@ -331,12 +337,9 @@ class Parser:
             return FalseLit()
         left = self._term()
         op = self._peek()
-        if op.kind == "=":
+        if op.kind in _COMPARE:
             self._advance()
-            return Eq(left, self._term())
-        if op.kind == "!=":
-            self._advance()
-            return Neq(left, self._term())
+            return _COMPARE[op.kind](left, self._term())
         raise FormulaSyntaxError(op.position, "'=' or '!='", found=op.text or "end of input")
 
     def _term(self) -> Term:
@@ -372,10 +375,8 @@ def format_formula(formula: Formula) -> str:
             return "true"
         case FalseLit():
             return "false"
-        case Eq(left, right):
-            return f"{_format_term(left)} = {_format_term(right)}"
-        case Neq(left, right):
-            return f"{_format_term(left)} != {_format_term(right)}"
+        case Eq(left, right) | Neq(left, right):
+            return f"{_format_term(left)} {_SYMBOL[type(formula)]} {_format_term(right)}"
         case Not(body) | Next(body) | Finally(body) | Globally(body):
             return f"{_SYMBOL[type(formula)]} {format_formula(body)}"
         case (
@@ -383,11 +384,16 @@ def format_formula(formula: Formula) -> str:
             | Until(left, right) | Release(left, right)
         ):
             return f"({format_formula(left)} {_SYMBOL[type(formula)]} {format_formula(right)})"
-        case Exists(var, path, body):
-            return f"exists {var} in {_quote(str(path))} : {format_formula(body)}"
-        case Forall(var, path, body):
-            return f"forall {var} in {_quote(str(path))} : {format_formula(body)}"
+        case Exists(var, path, body) | Forall(var, path, body):
+            return f"{_SYMBOL[type(formula)]} {var} in {_quote(str(path))} : {format_formula(body)}"
     raise TypeError(f"not a formula: {formula!r}")
+
+
+# Each normal-form kind and its De Morgan dual, the kind its negation takes.
+_DUAL = {
+    Eq: Neq, Neq: Eq, And: Or, Or: And, Next: Next,
+    Until: Release, Release: Until, Exists: Forall, Forall: Exists,
+}
 
 
 def to_nnf(formula: Formula) -> Formula:
@@ -397,71 +403,42 @@ def to_nnf(formula: Formula) -> Formula:
     the two quantifiers.  Boolean literals become the self-evident atoms
     "true" = "true" and "true" != "true".
     """
-    match formula:
-        case TrueLit():
-            return TRUE_ATOM
-        case FalseLit():
-            return FALSE_ATOM
-        case Eq() | Neq():
-            return formula
-        case And(left, right):
-            return And(to_nnf(left), to_nnf(right))
-        case Or(left, right):
-            return Or(to_nnf(left), to_nnf(right))
-        case Implies(left, right):
-            return Or(to_nnf(Not(left)), to_nnf(right))
-        case Next(body):
-            return Next(to_nnf(body))
-        case Finally(body):
-            return Until(TRUE_ATOM, to_nnf(body))
-        case Globally(body):
-            return Release(FALSE_ATOM, to_nnf(body))
-        case Until(left, right):
-            return Until(to_nnf(left), to_nnf(right))
-        case Release(left, right):
-            return Release(to_nnf(left), to_nnf(right))
-        case Exists(var, path, body):
-            return Exists(var, path, to_nnf(body))
-        case Forall(var, path, body):
-            return Forall(var, path, to_nnf(body))
-        case Not(inner):
-            match inner:
-                case TrueLit():
-                    return FALSE_ATOM
-                case FalseLit():
-                    return TRUE_ATOM
-                case Eq(left, right):
-                    return Neq(left, right)
-                case Neq(left, right):
-                    return Eq(left, right)
-                case Not(body):
-                    return to_nnf(body)
-                case And(left, right):
-                    return Or(to_nnf(Not(left)), to_nnf(Not(right)))
-                case Or(left, right):
-                    return And(to_nnf(Not(left)), to_nnf(Not(right)))
-                case Implies(left, right):
-                    return And(to_nnf(left), to_nnf(Not(right)))
-                case Next(body):
-                    return Next(to_nnf(Not(body)))
-                case Finally(body):
-                    return Release(FALSE_ATOM, to_nnf(Not(body)))
-                case Globally(body):
-                    return Until(TRUE_ATOM, to_nnf(Not(body)))
-                case Until(left, right):
-                    return Release(to_nnf(Not(left)), to_nnf(Not(right)))
-                case Release(left, right):
-                    return Until(to_nnf(Not(left)), to_nnf(Not(right)))
-                case Exists(var, path, body):
-                    return Forall(var, path, to_nnf(Not(body)))
-                case Forall(var, path, body):
-                    return Exists(var, path, to_nnf(Not(body)))
-    raise TypeError(f"not a formula: {formula!r}")
+    return _nnf(formula, False)
 
 
 def negate(formula: Formula) -> Formula:
     """Negation, returned in negation normal form."""
-    return to_nnf(Not(formula))
+    return _nnf(formula, True)
+
+
+def _nnf(f: Formula, negated: bool) -> Formula:
+    """The normal form of f, or of its negation: a negated kind takes its _DUAL."""
+    match f:
+        case Eq(left, right) | Neq(left, right):
+            return (_DUAL[type(f)] if negated else type(f))(left, right)
+        case And(left, right) | Or(left, right) | Until(left, right) | Release(left, right):
+            kind = _DUAL[type(f)] if negated else type(f)
+            return kind(_nnf(left, negated), _nnf(right, negated))
+        case Not(body):
+            return _nnf(body, not negated)
+        case Next(body):
+            return Next(_nnf(body, negated))
+        case Exists(var, path, body) | Forall(var, path, body):
+            kind = _DUAL[type(f)] if negated else type(f)
+            return kind(var, path, _nnf(body, negated))
+        case TrueLit():
+            return FALSE_ATOM if negated else TRUE_ATOM
+        case FalseLit():
+            return TRUE_ATOM if negated else FALSE_ATOM
+        case Implies(left, right):
+            return (And if negated else Or)(_nnf(left, not negated), _nnf(right, negated))
+        case Finally(body):
+            body = _nnf(body, negated)
+            return Release(FALSE_ATOM, body) if negated else Until(TRUE_ATOM, body)
+        case Globally(body):
+            body = _nnf(body, negated)
+            return Until(TRUE_ATOM, body) if negated else Release(FALSE_ATOM, body)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def children(formula: Formula) -> tuple[Formula, ...]:
@@ -484,7 +461,7 @@ def children(formula: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-_NNF_KINDS = (Eq, Neq, And, Or, Next, Until, Release, Exists, Forall)
+_NNF_KINDS = tuple(_DUAL)
 _TEMPORAL_KINDS = (Next, Finally, Globally, Until, Release)
 
 

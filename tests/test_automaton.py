@@ -235,17 +235,17 @@ class TestAcceptingSets:
 
     def test_until_is_not_accepting(self):
         auto = build_automaton(Until(A, B))
-        assert auto.ref_of(Until(A, B)) not in auto.accepting
+        assert auto.states.index(Until(A, B)) not in auto.accepting
 
     def test_release_accepts_itself(self):
         phi = Release(NO, A)
         auto = build_automaton(phi)
-        assert auto.ref_of(phi) in auto.accepting
+        assert auto.states.index(phi) in auto.accepting
 
     def test_nested_release_inside_until(self):
         inner = Release(A, B)
         auto = build_automaton(Until(A, inner))
-        assert auto.accepting == {auto.ref_of(inner), auto.top}
+        assert auto.accepting == {auto.states.index(inner), auto.top}
 
     def test_rejects_non_normal_form(self):
         # Sugar below the root, inside the Release whose state would accept.
@@ -305,7 +305,7 @@ class TestDelta:
     def test_atom_reads_the_valuation(self):
         phi = Exists("x", Path(("m", "a")), Eq(Var("x"), Const("b")))
         auto = build_automaton(phi)
-        atom = auto.ref_of(Eq(Var("x"), Const("b")))
+        atom = auto.states.index(Eq(Var("x"), Const("b")))
         assert auto.delta(frozenset({("x", "b")}), atom, AB) == TRUE_DNF
         assert auto.delta(frozenset({("x", "a")}), atom, AB) == FALSE_DNF
 
@@ -321,7 +321,8 @@ class TestDelta:
         phi = Next(A)
         auto = build_automaton(phi)
         got = auto.delta(EMPTY_VALUATION, 0, STOCK)
-        assert got == TransitionDnf(frozenset({frozenset({(EMPTY_VALUATION, auto.ref_of(A))})}))
+        held = (EMPTY_VALUATION, auto.states.index(A))
+        assert got == TransitionDnf(frozenset({frozenset({held})}))
 
     def test_until_settles_on_true_right(self):
         auto = build_automaton(Until(NO, A))
@@ -369,7 +370,7 @@ class TestDelta:
     def test_exists_spawns_one_branch_per_value(self):
         phi = parse('exists x in "/m/a" : X x = "q"')
         auto = build_automaton(to_nnf(phi))
-        atom = auto.ref_of(Eq(Var("x"), Const("q")))
+        atom = auto.states.index(Eq(Var("x"), Const("q")))
         got = auto.delta(EMPTY_VALUATION, 0, AB)
         assert got == TransitionDnf(
             frozenset(
@@ -383,7 +384,7 @@ class TestDelta:
     def test_forall_joins_all_values(self):
         phi = parse('forall x in "/m/a" : X x = "q"')
         auto = build_automaton(to_nnf(phi))
-        atom = auto.ref_of(Eq(Var("x"), Const("q")))
+        atom = auto.states.index(Eq(Var("x"), Const("q")))
         got = auto.delta(EMPTY_VALUATION, 0, AB)
         assert got == TransitionDnf(
             frozenset(
@@ -438,6 +439,18 @@ class TestDeltaInvariants:
                     assert temporal_depth(target_formula) <= temporal_depth(source)
                     if temporal_depth(target_formula) == temporal_depth(source):
                         assert isinstance(target_formula, (Until, Release))
+
+    @given(strategies.nnf_formulas(), strategies.traces(max_length=2))
+    def test_transitions_are_very_weak(self, formula, trace):
+        # What lasso_accepts relies on: a conjunct holds the obligation
+        # itself again, or obligations on strict subformulas of its state.
+        auto = build_automaton(formula)
+        for obligation, dnf in _reachable(auto, trace):
+            source = auto.states[obligation[1]]
+            strict = set(subformulas(source)) - {source}
+            for conjunct in dnf.conjuncts:
+                for target in conjunct:
+                    assert target == obligation or auto.states[target[1]] in strict
 
     @given(strategies.nnf_formulas(), strategies.traces(max_length=2))
     def test_depth_zero_states_decide_immediately(self, formula, trace):

@@ -126,6 +126,14 @@ class TestMonitor:
         assert captured.out == ""
         assert captured.err == "error: line 1: duplicate key 'a'\n"
 
+    def test_unicode_line_separator_stays_inside_constants(self, tmp_path, capsys):
+        formula = tmp_path / "separator.ltl"
+        formula.write_text('forall z in "/m/a" : z = "x\u2028y"\n', encoding="utf-8")
+        trace = tmp_path / "separator.jsonl"
+        trace.write_text('{"m":{"a":"x\u2028y"}}\n', encoding="utf-8")
+        assert main(["monitor", "--formula", str(formula), "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out == "0\tTRUE\nRESULT TRUE\n"
+
     def test_trace_not_utf8_is_an_error_exit(self, tmp_path, capsys):
         trace = tmp_path / "bad.jsonl"
         trace.write_bytes(b'\xff\xfe{"m":{}}\n')

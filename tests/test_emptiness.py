@@ -1,141 +1,133 @@
-"""The Buchi game solver behind lasso acceptance, on plain games."""
-import itertools
+"""Lasso acceptance by walking each obligation along the lasso."""
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
+from hypothesis import given
 
-from foltl.acceptance import ResourceLimitError, _eve_wins
+import strategies
+from foltl.acceptance import ResourceLimitError, lasso_accepts, oracle_eval
+from foltl.automaton import EMPTY_VALUATION, build_automaton
+from foltl.events import load_lasso
+from foltl.formula import FalseLit, Not, TrueLit, parse, to_nnf
 
-VERTICES = 6
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+# Position 0 is the prefix; positions 1 and 2 are the loop.
+LASSO = load_lasso('{"prefix":[{"m":{"a":"a"}}],"loop":[{"m":{"a":"b"}},{"m":{"a":"a"}}]}')
+A = 'exists x in "/m/a" : x = "a"'
+B = 'exists x in "/m/a" : x = "b"'
 
 
-def _solve(game, accepting=(), start=0, state_limit=1000):
-    """game maps a vertex to Eve's options, each a tuple of Adam's targets."""
-    return _eve_wins(start, lambda vertex: game.get(vertex, []), accepting.__contains__, state_limit)
+def _accepts(formula, lasso=LASSO, **kwargs):
+    if isinstance(formula, str):
+        formula = parse(formula)
+    return lasso_accepts(build_automaton(to_nnf(formula)), lasso, **kwargs)
 
 
-def _reach(edges, source):
-    """Vertices reachable from source; edges maps a vertex to its successors."""
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        for target in edges(frontier.pop()):
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return seen
-
-
-def _every_target(game):
-    return lambda vertex: [t for option in game.get(vertex, []) for t in option]
-
-
-def _brute_force(game, accepting=(), start=0):
-    """Some positional choice of one option per vertex leaves Adam no way
-    to reach a vertex without options or a cycle of non-accepting ones."""
-    reachable = sorted(_reach(_every_target(game), start))
-    choosers = [v for v in reachable if game.get(v)]
-    for picks in itertools.product(*(range(len(game[v])) for v in choosers)):
-        chosen = dict(zip(choosers, picks))
-
-        def edges(vertex):
-            return game[vertex][chosen[vertex]] if vertex in chosen else ()
-
-        played = _reach(edges, start)
-        if any(not game.get(v) for v in played):
-            continue
-        # Peel off non-accepting vertices with no non-accepting successor;
-        # whatever remains holds a cycle of non-accepting vertices.
-        rest = {v for v in played if v not in accepting}
-        while True:
-            dead = {v for v in rest if not rest.intersection(edges(v))}
-            if not dead:
-                break
-            rest -= dead
-        if not rest:
-            return True
-    return False
-
-
-@st.composite
-def games(draw):
-    targets = st.tuples(*[st.integers(0, VERTICES - 1)] * 3)
-    game = {
-        vertex: [option[: draw(st.integers(0, 3))] for option in draw(st.lists(targets, max_size=3))]
-        for vertex in range(VERTICES)
-    }
-    accepting = draw(st.frozensets(st.integers(0, VERTICES - 1)))
-    return game, accepting
-
-
-def _limit_is_the_reachable_count(game, accepting):
-    reachable = len(_reach(_every_target(game), 0))
-    assert _solve(game, accepting, state_limit=reachable) == _brute_force(game, accepting)
-    if reachable > 1:
-        with pytest.raises(ResourceLimitError) as err:
-            _solve(game, accepting, state_limit=reachable - 1)
-        assert err.value.states == reachable
+def _pairs_decided(formula, lasso):
+    """The pairs one run decides: each is decided by exactly one delta call."""
+    automaton = build_automaton(to_nnf(formula))
+    calls = []
+    delta = automaton.delta
+    automaton.delta = lambda *args: calls.append(args) or delta(*args)
+    lasso_accepts(automaton, lasso)
+    return len(calls)
 
 
 class TestAgainstBruteForce:
-    @given(games())
-    def test_same_verdict(self, drawn):
-        game, accepting = drawn
-        assert _solve(game, accepting) == _brute_force(game, accepting)
+    @given(strategies.formulas(), strategies.lassos())
+    def test_same_verdict(self, formula, lasso):
+        holds = oracle_eval(EMPTY_VALUATION, formula, lasso)
+        assert _accepts(formula, lasso) == holds
+        assert _accepts(Not(formula), lasso) == (not holds)
 
-    @given(games())
-    def test_rejection_explores_every_reachable_node(self, drawn):
-        assume(not _brute_force(*drawn))
-        _limit_is_the_reachable_count(*drawn)
-
-    @given(games())
-    def test_acceptance_explores_every_reachable_vertex_too(self, drawn):
-        assume(_brute_force(*drawn))
-        _limit_is_the_reachable_count(*drawn)
+    @given(strategies.formulas(), strategies.lassos())
+    def test_the_limit_is_the_count_of_pairs_decided(self, formula, lasso):
+        pairs = _pairs_decided(formula, lasso)
+        assert _accepts(formula, lasso, state_limit=pairs) == _accepts(formula, lasso)
+        if pairs > 1:
+            with pytest.raises(ResourceLimitError) as err:
+                _accepts(formula, lasso, state_limit=pairs - 1)
+            assert err.value.states == pairs
 
 
 class TestHandWritten:
+    """Eve's options are the conjuncts of a transition, and Adam picks
+    the obligation of a conjunct at the next position: a conjunct wins
+    iff every obligation in it does."""
+
     def test_empty_option_wins(self):
-        assert _solve({0: [()]}) is True
+        assert _accepts(TrueLit()) is True
 
     def test_no_option_loses(self):
-        assert _solve({0: []}) is False
+        assert _accepts(FalseLit()) is False
 
     def test_accepting_self_loop(self):
-        assert _solve({0: [(1,)], 1: [(1,)]}, accepting={1}) is True
+        # The walk of the Release comes back to position 1 still pending.
+        assert _accepts(f"G ({A} | {B})") is True
 
     def test_non_accepting_self_loop_loses(self):
-        assert _solve({0: [(0,)]}) is False
+        assert _accepts('F exists x in "/m/a" : x = "c"') is False
+        assert _accepts(f'({A} | {B}) U exists x in "/m/a" : x = "c"') is False
 
     def test_adam_picks_the_bad_target(self):
-        game = {0: [(1, 2)], 1: [(1,)], 2: [(2,)]}
-        assert _solve(game, accepting={1}) is False
-        assert _solve(game, accepting={1, 2}) is True
+        assert _accepts(f"X {B} & X {A}") is False
+        assert _accepts(f"G ({A} | {B}) & F false") is False
 
     def test_eve_picks_the_good_option(self):
-        game = {0: [(1,), (2,)], 1: [(1,)], 2: [(2,)]}
-        assert _solve(game, accepting={2}) is True
-        assert _solve(game, accepting={0}) is False
+        assert _accepts(f"X {A} | X {B}") is True
+        assert _accepts(f"F G {A} | G F {A}") is True
 
-    def test_accepting_vertex_between_two_cycles_loses(self):
-        # Every play passes the accepting vertex 2 at most once.
-        game = {0: [(1,)], 1: [(0,), (2,)], 2: [(3,)], 3: [(4,)], 4: [(3,)]}
-        assert _solve(game, accepting={2}) is False
+    def test_passing_an_accepting_state_once_loses(self):
+        # A settles the Release at position 0, leaving F c pending forever.
+        assert _accepts(f'{A} R F exists x in "/m/a" : x = "c"') is False
 
     def test_accepting_vertex_on_a_longer_cycle_wins(self):
-        assert _solve({0: [(1,)], 1: [(2,)], 2: [(0,)]}, accepting={0}) is True
+        assert _accepts(f"X G ({A} | {B})") is True
+        assert _accepts(f"G F {B}") is True
+
+    def test_until_settles_after_the_hold(self):
+        assert _accepts(f"{A} U {B}") is True
+        assert _accepts(f"X ({B} U {A})") is True
+
+    def test_release_broken_on_the_loop_is_rejected(self):
+        assert _accepts(f"X G {B}") is False
 
     def test_state_limit_exceeded(self):
-        chain = {vertex: [(vertex + 1,)] for vertex in range(10)}
+        # X X A: one pair per position 0, 1 and 2.
+        formula = parse(f"X X {A}")
+        assert _pairs_decided(formula, LASSO) == 3
+        assert _accepts(formula, state_limit=3) is True
         with pytest.raises(ResourceLimitError) as err:
-            _solve(chain, state_limit=3)
-        assert err.value.states == 4
+            _accepts(formula, state_limit=2)
+        assert err.value.states == 3
+
+    def test_each_pair_is_decided_once(self):
+        # G F B is walked over positions 0, 1 and 2.  At 0 and at 2 it
+        # needs F B at position 1, which is decided once: 4 pairs.
+        assert _pairs_decided(parse(f"G F {B}"), LASSO) == 4
+
+
+def _fuzz_stdout(hash_seed, state_limit):
+    argv = ["fuzz", "--seed", "42", "--count", "300", "--max-depth", "4", "--max-quant", "3"]
+    done = subprocess.run(
+        [sys.executable, "-m", "foltl.cli", *argv, "--state-limit", str(state_limit)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed),
+    )
+    assert done.returncode == 3
+    return done.stdout
+
+
+# A walk that stopped deciding a conjunct at its first lost obligation
+# would give different LIMIT lines under the two hash seeds at limit 30.
+@pytest.mark.parametrize("state_limit", [20, 30])
+def test_pairs_decided_do_not_depend_on_the_hash_seed(state_limit):
+    first = _fuzz_stdout("0", state_limit)
+    assert b"LIMIT " in first
+    assert _fuzz_stdout("1", state_limit) == first
 
 
 def test_import_pulls_in_no_networkx():

@@ -143,6 +143,13 @@ class TestIngestion:
     def test_load_trace_empty(self):
         assert load_trace("") == ()
 
+    def test_unicode_line_separators_stay_inside_strings(self):
+        (message,) = load_trace('{"m":{"a":"x\u2028y"}}')
+        assert message.obj == {"m": {"a": "x\u2028y"}}
+
+    def test_lines_split_at_every_newline_convention(self):
+        assert len(load_trace('{"m":{}}\r\n{"m":{}}\r{"m":{}}\n')) == 3
+
 
 class TestLasso:
     def test_load(self):

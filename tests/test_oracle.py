@@ -172,8 +172,8 @@ class TestFuzz:
         assert sum(case.agree for case in cases) == 200
 
     def test_long_lassos_decide_within_a_small_state_limit(self):
-        # The acceptance game has at most |positions| x |obligations|
-        # vertices, so 1000 is room enough for lassos of up to 14 messages.
+        # Acceptance decides at most |positions| x |obligations| pairs,
+        # so 1000 is room enough for lassos of up to 14 messages.
         bounds = GenBounds(max_depth=4, max_quantifiers=3, max_prefix=8, max_loop=6)
         cases = fuzz_compare(42, 300, bounds, state_limit=1000)
         assert not any(case.limit_states for case in cases)
