@@ -5,12 +5,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 import strategies
 from foltl.acceptance import ResourceLimitError, lasso_accepts, oracle_eval
 from foltl.automaton import EMPTY_VALUATION, build_automaton
-from foltl.events import load_lasso
+from foltl.events import canonical_position, load_lasso, position_message
 from foltl.formula import FalseLit, Not, TrueLit, parse, to_nnf
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -36,6 +36,36 @@ def _pairs_decided(formula, lasso):
     return len(calls)
 
 
+def _reachable_pairs(formula, lasso):
+    """(position, obligation) pairs reachable from the initial one through
+    any obligation of any conjunct, found without lasso_accepts."""
+    automaton = build_automaton(to_nnf(formula))
+    start = (0, automaton.initial)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        position, (valuation, state) = frontier.pop()
+        after = canonical_position(lasso, position + 1)
+        rewrite = automaton.delta(valuation, state, position_message(lasso, position))
+        for conjunct in rewrite.conjuncts:
+            for obligation in conjunct:
+                if (after, obligation) not in seen:
+                    seen.add((after, obligation))
+                    frontier.append((after, obligation))
+    return seen
+
+
+def _limit_is_the_count_of_pairs_decided(formula, lasso):
+    # The walk decides only reachable pairs, and the limit counts exactly those it decides.
+    pairs = _pairs_decided(formula, lasso)
+    assert 1 <= pairs <= len(_reachable_pairs(formula, lasso))
+    assert _accepts(formula, lasso, state_limit=pairs) == _accepts(formula, lasso)
+    if pairs > 1:
+        with pytest.raises(ResourceLimitError) as err:
+            _accepts(formula, lasso, state_limit=pairs - 1)
+        assert err.value.states == pairs
+
+
 class TestAgainstBruteForce:
     @given(strategies.formulas(), strategies.lassos())
     def test_same_verdict(self, formula, lasso):
@@ -44,13 +74,14 @@ class TestAgainstBruteForce:
         assert _accepts(Not(formula), lasso) == (not holds)
 
     @given(strategies.formulas(), strategies.lassos())
-    def test_the_limit_is_the_count_of_pairs_decided(self, formula, lasso):
-        pairs = _pairs_decided(formula, lasso)
-        assert _accepts(formula, lasso, state_limit=pairs) == _accepts(formula, lasso)
-        if pairs > 1:
-            with pytest.raises(ResourceLimitError) as err:
-                _accepts(formula, lasso, state_limit=pairs - 1)
-            assert err.value.states == pairs
+    def test_rejection_explores_every_reachable_node(self, formula, lasso):
+        assume(not oracle_eval(EMPTY_VALUATION, formula, lasso))
+        _limit_is_the_count_of_pairs_decided(formula, lasso)
+
+    @given(strategies.formulas(), strategies.lassos())
+    def test_acceptance_explores_every_reachable_vertex_too(self, formula, lasso):
+        assume(oracle_eval(EMPTY_VALUATION, formula, lasso))
+        _limit_is_the_count_of_pairs_decided(formula, lasso)
 
 
 class TestHandWritten:
