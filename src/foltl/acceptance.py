@@ -19,7 +19,7 @@ across the corpus is the package's main self-check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .automaton import (
     EMPTY_VALUATION,
@@ -44,6 +44,7 @@ from .formula import (
     Next,
     Not,
     Or,
+    Record,
     Release,
     TrueLit,
     Until,
@@ -58,7 +59,7 @@ DEFAULT_STATE_LIMIT = 200_000
 class ResourceLimitError(RuntimeError):
     def __init__(self, states: int):
         self.states = states
-        super().__init__(f"acceptance game exceeded {states} vertices")
+        super().__init__(f"lasso acceptance exceeded the limit of {states - 1} (position, obligation) pairs decided")
 
 
 class OracleEvaluator:
@@ -184,7 +185,7 @@ def lasso_accepts(
     def wins(position: int, obligation: Obligation) -> bool:
         nonlocal pairs
         valuation, state = obligation
-        walk: list[int] = []
+        walk: dict[int, None] = {}  # positions in visiting order, a revisit found in O(1)
         while (verdict := won.get((position, obligation))) is None:
             if position in walk:
                 verdict = state in automaton.accepting
@@ -192,7 +193,7 @@ def lasso_accepts(
             pairs += 1
             if pairs > state_limit:
                 raise ResourceLimitError(pairs)
-            walk.append(position)
+            walk[position] = None
             after = canonical_position(trace, position + 1)
             rewrite = automaton.delta(valuation, state, position_message(trace, position))
             leaves = holds = False
@@ -215,17 +216,16 @@ def lasso_accepts(
     return wins(0, automaton.initial)
 
 
-@dataclass(frozen=True)
-class FuzzCase:
-    """One corpus case; limit_states > 0 marks a search stopped at the state limit."""
+class FuzzCase(Record, namedtuple(
+    "FuzzCase", "index formula trace automaton_result oracle_result state_count limit_states", defaults=(0,)
+)):
+    """One corpus case; limit_states > 0 marks a search stopped at the state limit.
 
-    index: int
-    formula: Formula
-    trace: LassoTrace
-    automaton_result: bool | None
-    oracle_result: bool | None
-    state_count: int
-    limit_states: int = 0
+    index, state_count, limit_states: int; formula: Formula; trace:
+    LassoTrace; automaton_result, oracle_result: bool | None.
+    """
+
+    __slots__ = ()
 
     @property
     def agree(self) -> bool:

@@ -17,7 +17,7 @@ the state quantifies again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Collection, Iterable
 
 from .events import Message, dom
@@ -30,6 +30,7 @@ from .formula import (
     Neq,
     Next,
     Or,
+    Record,
     Release,
     Term,
     Until,
@@ -62,13 +63,12 @@ Obligation = tuple[Valuation, int]
 Conjunct = frozenset[Obligation]
 
 
-@dataclass(frozen=True)
-class TransitionDnf:
+class TransitionDnf(Record, namedtuple("TransitionDnf", "conjuncts")):  # conjuncts: frozenset[Conjunct]
     """Order-free antichain of obligation conjuncts: no conjunct is a
     subset of another, so equality is structural.  Vacuous truth is one
     empty conjunct, unsatisfiability is no conjunct at all."""
 
-    conjuncts: frozenset[Conjunct]
+    __slots__ = ()
 
     def is_true(self) -> bool:
         return frozenset() in self.conjuncts

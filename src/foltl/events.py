@@ -5,16 +5,17 @@ repeated key, and that object is already the tree the formulas speak
 about: object keys are steps, an array repeats its key once per item,
 and strings are the only values.  A finite trace is a tuple of
 messages, read from JSON Lines; a lasso trace is a finite prefix plus
-a nonempty loop repeated forever.
+a nonempty loop repeated forever.  Messages and lassos are
+tuple-backed records (see formula.Record), equal only to their own kind.
 """
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
-from .formula import Path
+from .formula import Path, Record
 
 _TOO_DEEP = "JSON nests too deeply"
 
@@ -31,23 +32,21 @@ class EmptyLoopError(ValueError):
         super().__init__("lasso loop must hold at least one message")
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(Record, namedtuple("Message", "obj")):  # obj: dict
     """A decoded JSON object, checked by message_from_obj and never mutated."""
 
-    obj: dict
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LassoTrace:
+class LassoTrace(Record, namedtuple("LassoTrace", "prefix loop")):  # prefix, loop: tuple[Message, ...]
     """Ultimately periodic word prefix . loop^omega."""
 
-    prefix: tuple[Message, ...]
-    loop: tuple[Message, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.loop:
+    def __new__(cls, prefix: tuple[Message, ...], loop: tuple[Message, ...]) -> LassoTrace:
+        if not loop:
             raise EmptyLoopError()
+        return super().__new__(cls, prefix, loop)
 
 
 def canonical_position(trace: LassoTrace, index: int) -> int:

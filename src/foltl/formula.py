@@ -6,6 +6,10 @@ to each value the quoted path extracts from the current message, and
 ``forall`` is its dual.  Atoms compare two terms, where a term is a
 quantifier-bound variable or a double-quoted string constant.
 
+Nodes, terms and paths are tuple-backed records (``Record`` over a
+namedtuple): immutable, matched by position, hashed in C, and equal
+only to a record of their own kind, so ``Eq(a, b) != Neq(a, b)``.
+
 ``children`` is the one structural walk: every pass that needs only the
 shape of the tree (normal-form test, measures, closure, scoping)
 recurses through it.  ``format_formula`` matches each node kind
@@ -14,7 +18,7 @@ normal-form kind through one De Morgan table and lowers the others.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class FormulaError(ValueError):
@@ -41,35 +45,53 @@ class ShadowedVariableError(FormulaError):
         super().__init__(f"quantifier rebinds variable {name!r} already in scope")
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Record:
+    """Mixin, listed before a namedtuple: equal only to a record of its own
+    kind with equal fields, hashed as its field tuple, in C, and always
+    truthy, even with no fields.  Subclasses set __slots__ = ().
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __bool__(self) -> bool:
+        return True
 
 
-@dataclass(frozen=True)
-class Const:
-    value: str
+class Var(Record, namedtuple("Var", "name")):  # name: str
+    __slots__ = ()
+
+
+class Const(Record, namedtuple("Const", "value")):  # value: str
+    __slots__ = ()
 
 
 Term = Var | Const
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record, namedtuple("Path", "segments")):  # segments: tuple[str, ...]
     """Child-axis path, one element name per step, rooted at the first."""
 
-    segments: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.segments or any(not s for s in self.segments):
+    def __new__(cls, segments: tuple[str, ...]) -> Path:
+        if not segments or any(not s for s in segments):
             raise ValueError("path needs at least one non-empty segment")
+        return super().__new__(cls, segments)
 
     def __str__(self) -> str:
         return "/" + "/".join(self.segments)
 
 
-class Formula:
-    """Base class for formula AST nodes."""
+class Formula(Record):
+    """Base class for formula AST nodes; each node is a Formula before its namedtuple."""
 
     __slots__ = ()
 
@@ -77,90 +99,64 @@ class Formula:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
-class TrueLit(Formula):
-    pass
+class TrueLit(Formula, namedtuple("TrueLit", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FalseLit(Formula):
-    pass
+class FalseLit(Formula, namedtuple("FalseLit", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eq(Formula):
-    left: Term
-    right: Term
+class Eq(Formula, namedtuple("Eq", "left right")):  # left, right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neq(Formula):
-    left: Term
-    right: Term
+class Neq(Formula, namedtuple("Neq", "left right")):  # left, right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    body: Formula
+class Not(Formula, namedtuple("Not", "body")):  # body: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(Formula, namedtuple("And", "left right")):  # left, right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(Formula, namedtuple("Or", "left right")):  # left, right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Implies(Formula, namedtuple("Implies", "left right")):  # left, right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    body: Formula
+class Next(Formula, namedtuple("Next", "body")):  # body: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Finally(Formula):
-    body: Formula
+class Finally(Formula, namedtuple("Finally", "body")):  # body: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Globally(Formula):
-    body: Formula
+class Globally(Formula, namedtuple("Globally", "body")):  # body: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Until(Formula, namedtuple("Until", "left right")):  # left, right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class Release(Formula, namedtuple("Release", "left right")):  # left, right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    path: Path
-    body: Formula
+class Exists(Formula, namedtuple("Exists", "var path body")):  # var: str, path: Path, body: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    path: Path
-    body: Formula
+class Forall(Formula, namedtuple("Forall", "var path body")):  # var: str, path: Path, body: Formula
+    __slots__ = ()
 
 
 # Normal-form stand-ins for the boolean literals.  Both use the same
@@ -171,11 +167,9 @@ FALSE_ATOM = Neq(Const("true"), Const("true"))
 KEYWORDS = frozenset({"G", "F", "X", "U", "R", "exists", "forall", "in", "true", "false"})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT, STRING, a punctuation literal, or EOF
-    text: str
-    position: int
+class _Token(Record, namedtuple("_Token", "kind text position")):  # kind, text: str; position: int
+    # kind is IDENT, STRING, a punctuation literal, or EOF.
+    __slots__ = ()
 
 
 def _tokenize(source: str) -> list[_Token]:

@@ -9,7 +9,7 @@ interesting while still exercising the empty-domain conventions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .events import LassoTrace, Message, message_from_obj
 from .formula import (
@@ -28,6 +28,7 @@ from .formula import (
     Not,
     Or,
     Path,
+    Record,
     Release,
     Term,
     TrueLit,
@@ -40,17 +41,21 @@ VALUES = ("a", "b", "c", "d", "e")
 PATHS = (Path(("m", "a")), Path(("m", "b")), Path(("m", "c", "d")))
 
 
-@dataclass(frozen=True)
-class GenBounds:
-    """Knobs for corpus size and shape."""
+_KNOBS = {
+    "max_depth": 3,  # temporal operators per branch
+    "max_quantifiers": 2,  # per formula
+    "alphabet": 3,  # distinct leaf values
+    "max_prefix": 4,
+    "max_loop": 3,
+    "max_trace": 6,  # finite traces for monitoring corpora
+    "size_budget": 12,  # soft cap on formula nodes
+}
 
-    max_depth: int = 3  # temporal operators per branch
-    max_quantifiers: int = 2  # per formula
-    alphabet: int = 3  # distinct leaf values
-    max_prefix: int = 4
-    max_loop: int = 3
-    max_trace: int = 6  # finite traces for monitoring corpora
-    size_budget: int = 12  # soft cap on formula nodes
+
+class GenBounds(Record, namedtuple("GenBounds", _KNOBS, defaults=_KNOBS.values())):
+    """Knobs for corpus size and shape: each key of _KNOBS is an int field, defaulting to its value."""
+
+    __slots__ = ()
 
 
 def case_rng(seed: int, tag: str, index: int) -> random.Random:

@@ -9,7 +9,7 @@ INCONCLUSIVE, decided verdicts never change afterwards.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .automaton import (
@@ -21,7 +21,7 @@ from .automaton import (
     dnf_or,
 )
 from .events import Message
-from .formula import Formula, to_nnf
+from .formula import Formula, Record, to_nnf
 
 
 class Verdict(Enum):
@@ -33,9 +33,8 @@ class Verdict(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Configuration:
-    dnf: TransitionDnf
+class Configuration(Record, namedtuple("Configuration", "dnf")):  # dnf: TransitionDnf
+    __slots__ = ()
 
 
 def initial_configuration(automaton: Automaton) -> Configuration:

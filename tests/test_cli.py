@@ -183,7 +183,9 @@ class TestAcceptAndOracle:
             ["accept", "--formula", REQ_ACK, "--lasso", GOOD, "--state-limit", "1"]
         )
         assert code == 3
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: lasso acceptance exceeded the limit of 1 (position, obligation) pairs decided\n"
+        )
 
 
 ATOM = '"a" = "a"'

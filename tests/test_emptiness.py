@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given
@@ -10,7 +11,7 @@ from hypothesis import assume, given
 import strategies
 from foltl.acceptance import ResourceLimitError, lasso_accepts, oracle_eval
 from foltl.automaton import EMPTY_VALUATION, build_automaton
-from foltl.events import canonical_position, load_lasso, position_message
+from foltl.events import LassoTrace, canonical_position, load_lasso, parse_message, position_message
 from foltl.formula import FalseLit, Not, TrueLit, parse, to_nnf
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -161,12 +162,39 @@ def test_pairs_decided_do_not_depend_on_the_hash_seed(state_limit):
     assert _fuzz_stdout("1", state_limit) == first
 
 
-def test_import_pulls_in_no_networkx():
+def _imported_by_foltl(*modules):
+    """Which of the modules a fresh interpreter holds after import foltl."""
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, foltl; print('networkx' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, foltl; print([m for m in {modules!r} if m in sys.modules])"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         check=True,
     )
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_import_pulls_in_no_networkx():
+    assert _imported_by_foltl("networkx") == "[]\n"
+
+
+def test_import_pulls_in_no_dataclasses_or_inspect():
+    # Both cost start-up time: dataclasses pulls in inspect, ast, dis and tokenize.
+    assert _imported_by_foltl("dataclasses", "inspect") == "[]\n"
+
+
+def test_acceptance_is_linear_in_the_lasso_length():
+    # One pending obligation walked along 50 000 positions.  The walk
+    # finds a revisit in constant time, so it costs a few times what the
+    # oracle's linear passes cost; a scan of the positions walked so far
+    # costs about a hundred times as much.
+    message = parse_message('{"m":{"a":"a"}}')
+    lasso = LassoTrace(prefix=(message,) * 49_999, loop=(message,))
+    formula = to_nnf(parse('G forall x in "/m/a" : x != "c"'))
+    automaton = build_automaton(formula)
+    started = time.perf_counter()
+    assert lasso_accepts(automaton, lasso) is True
+    walked = time.perf_counter() - started
+    started = time.perf_counter()
+    assert oracle_eval(EMPTY_VALUATION, formula, lasso) is True
+    assert walked < 25 * (time.perf_counter() - started)

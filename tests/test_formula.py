@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 
 import strategies
+from foltl.acceptance import FuzzCase
+from foltl.events import EmptyLoopError, LassoTrace, parse_message
 from foltl.formula import (
     FALSE_ATOM,
     MAX_NESTING,
@@ -38,6 +40,7 @@ from foltl.formula import (
     temporal_depth,
     to_nnf,
 )
+from foltl.gen import GenBounds
 
 A = Eq(Const("a"), Const("a"))
 B = Eq(Const("b"), Const("b"))
@@ -177,6 +180,69 @@ class TestParse:
     @given(strategies.formulas())
     def test_round_trip_through_text(self, formula):
         assert parse(format_formula(formula)) == formula
+
+
+class TestRecords:
+    """Nodes and the other records are namedtuples that act as frozen dataclasses."""
+
+    def test_equal_only_to_their_own_kind(self):
+        x, v = Var("x"), Const("v")
+        assert Eq(x, v) == Eq(Var("x"), Const("v"))
+        assert Eq(x, v) != Neq(x, v) and not Eq(x, v) == Neq(x, v)
+        assert Eq(x, v) != (x, v) and (x, v) != Eq(x, v)
+        assert Var("x") != Const("x") and Var("x") != ("x",)
+        assert TrueLit() != FalseLit() and TrueLit() != ()
+
+    def test_hash_is_the_field_tuple_hash(self):
+        a, b = Const("a"), Const("b")
+        assert hash(Eq(a, b)) == hash((a, b)) == hash((("a",), ("b",)))
+        assert hash(TrueLit()) == hash(())
+        assert len({Eq(a, b), Neq(a, b), Eq(Const("a"), Const("b"))}) == 2
+
+    def test_empty_records_are_truthy(self):
+        assert TrueLit() and FalseLit()
+        assert bool(TrueLit()) is True and bool(FalseLit()) is True
+
+    def test_fields_are_read_only(self):
+        node = Eq(Var("x"), Const("v"))
+        with pytest.raises(AttributeError):
+            node.left = Const("w")
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        with pytest.raises(AttributeError):
+            GenBounds().max_depth = 9
+
+    def test_repr_keeps_the_dataclass_format(self):
+        assert repr(TrueLit()) == "TrueLit()"
+        assert repr(Exists("x", Path(("m", "a")), Eq(Var("x"), Const("v")))) == (
+            "Exists(var='x', path=Path(segments=('m', 'a')), "
+            "body=Eq(left=Var(name='x'), right=Const(value='v')))"
+        )
+
+    def test_construction_is_validated(self):
+        with pytest.raises(ValueError):
+            Path(())
+        with pytest.raises(ValueError):
+            Path(segments=("m", ""))
+        with pytest.raises(EmptyLoopError):
+            LassoTrace(prefix=(), loop=())
+
+    def test_keywords_and_defaults(self):
+        assert GenBounds(max_depth=4) == GenBounds(4, 2, 3, 4, 3, 6, 12)
+        assert GenBounds().size_budget == 12
+        trace = LassoTrace(prefix=(), loop=(parse_message('{"m":{}}'),))
+        case = FuzzCase(
+            index=0, formula=TrueLit(), trace=trace, automaton_result=True, oracle_result=True, state_count=3
+        )
+        assert case.limit_states == 0 and case.agree
+        assert case == FuzzCase(0, TrueLit(), trace, True, True, 3, 0)
+
+    def test_match_by_position_and_keyword(self):
+        match Until(A, B):
+            case Release():
+                pytest.fail("matched another kind")
+            case Until(left, right=right):
+                assert (left, right) == (A, B)
 
 
 class TestChildren:
