@@ -143,7 +143,6 @@ class Automaton:
         self.accepting = frozenset(
             ref for f, ref in self._refs.items() if isinstance(f, Release)
         ) | {self.top}
-        self.variables = frozenset(f.var for f in self._refs if isinstance(f, (Exists, Forall)))
         # The source is the closure's first member.
         self.initial: Obligation = (EMPTY_VALUATION, 0)
 

@@ -22,7 +22,7 @@ from .events import (
     lasso_to_json,
     load_lasso,
 )
-from .formula import Formula, FormulaError, format_formula, parse, temporal_depth, to_nnf
+from .formula import Exists, Forall, Formula, FormulaError, format_formula, parse, temporal_depth, to_nnf
 from .gen import GenBounds
 from .monitor import Verdict, initial_configuration, step, verdict
 
@@ -39,6 +39,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(ExitStatus.ERROR, f"{self.prog}: error: {message}\n")
+
+
+def count(text: str) -> int:
+    """argparse type for counts and limits: an int, and a usage error below zero."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {value}")
+    return value
 
 
 def load_formula(path: str) -> Formula:
@@ -70,7 +78,8 @@ def cmd_compile(args) -> ExitStatus:
         print(f"states {len(automaton.states)}")
         print(f"accepting {len(automaton.accepting)}")
         print(f"temporal-depth {temporal_depth(automaton.source)}")
-        print(f"variables {len(automaton.variables)}")
+        quantifiers = [f for f in automaton.states if isinstance(f, (Exists, Forall))]
+        print(f"variables {len({f.var for f in quantifiers})}")
     return ExitStatus.TRUE
 
 
@@ -160,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     accept_cmd = commands.add_parser("accept", help="decide acceptance of a lasso trace")
     accept_cmd.add_argument("--formula", required=True, metavar="FILE")
     accept_cmd.add_argument("--lasso", required=True, metavar="FILE")
-    accept_cmd.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT, metavar="N")
+    accept_cmd.add_argument("--state-limit", type=count, default=DEFAULT_STATE_LIMIT, metavar="N")
     accept_cmd.set_defaults(handler=cmd_accept)
 
     oracle_cmd = commands.add_parser("oracle", help="decide the same question by brute force")
@@ -170,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_cmd = commands.add_parser("fuzz", help="cross-validate both routes on a random corpus")
     fuzz_cmd.add_argument("--seed", type=int, default=42, metavar="N")
-    fuzz_cmd.add_argument("--count", type=int, default=200, metavar="N")
-    fuzz_cmd.add_argument("--max-depth", type=int, default=GenBounds().max_depth, metavar="N")
-    fuzz_cmd.add_argument("--max-quant", type=int, default=GenBounds().max_quantifiers, metavar="N")
-    fuzz_cmd.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT, metavar="N")
+    fuzz_cmd.add_argument("--count", type=count, default=200, metavar="N")
+    fuzz_cmd.add_argument("--max-depth", type=count, default=GenBounds().max_depth, metavar="N")
+    fuzz_cmd.add_argument("--max-quant", type=count, default=GenBounds().max_quantifiers, metavar="N")
+    fuzz_cmd.add_argument("--state-limit", type=count, default=DEFAULT_STATE_LIMIT, metavar="N")
     fuzz_cmd.set_defaults(handler=cmd_fuzz)
     return parser
 

@@ -10,14 +10,15 @@ Nodes, terms and paths are tuple-backed records (``Record`` over a
 namedtuple): immutable, matched by position, hashed in C, and equal
 only to a record of their own kind, so ``Eq(a, b) != Neq(a, b)``.
 
-``children`` is the one structural walk: every pass that needs only the
-shape of the tree (normal-form test, measures, closure, scoping)
-recurses through it.  ``format_formula`` matches each node kind
-explicitly, because it states its meaning.  ``to_nnf`` maps a negated
-normal-form kind through one De Morgan table and lowers the others.
+A node's subformulas are its fields that are formulas.  ``children``
+reads them and is the one structural walk (normal-form test, measures,
+closure, scoping); ``to_nnf`` rebuilds a normal-form kind from them.
+``format_formula`` matches each node kind explicitly, because it states
+its meaning.  The lexer sorts the matches of one regular expression.
 """
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 
@@ -172,60 +173,33 @@ class _Token(Record, namedtuple("_Token", "kind text position")):  # kind, text:
     __slots__ = ()
 
 
+# A string (body, closing quote if any), a word, a two-character
+# operator, or one other character; whitespace only separates.
+_TOKEN = re.compile(r'"((?:[^"\\]|\\["\\])*)("?)|\w+|!=|->|\S')
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == '"':
-            start = i
-            i += 1
-            chars: list[str] = []
-            while True:
-                if i >= n:
+    for match in _TOKEN.finditer(source):
+        text, start = match.group(), match.start()
+        if text[0] == '"':
+            body, closed = match.groups()
+            if not closed:
+                if match.end() == len(source):
                     raise FormulaSyntaxError(start, "closing quote")
-                c = source[i]
-                if c == "\\":
-                    if i + 1 >= n or source[i + 1] not in ('"', "\\"):
-                        raise FormulaSyntaxError(i, 'escape sequence \\" or \\\\')
-                    chars.append(source[i + 1])
-                    i += 2
-                elif c == '"':
-                    i += 1
-                    break
-                else:
-                    chars.append(c)
-                    i += 1
-            tokens.append(_Token("STRING", "".join(chars), start))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            word = source[start:i]
-            kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(_Token(kind, word, start))
-            continue
-        if c == "!" and i + 1 < n and source[i + 1] == "=":
-            tokens.append(_Token("!=", "!=", i))
-            i += 2
-            continue
-        if c == "-":
-            if i + 1 < n and source[i + 1] == ">":
-                tokens.append(_Token("->", "->", i))
-                i += 2
-                continue
-            raise FormulaSyntaxError(i, "token", found="-")
-        if c in "()=&|:!":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise FormulaSyntaxError(i, "token", found=repr(c))
-    tokens.append(_Token("EOF", "", n))
+                raise FormulaSyntaxError(match.end(), 'escape sequence \\" or \\\\')
+            tokens.append(_Token("STRING", _ESCAPE.sub(r"\1", body), start))
+        elif text[0].isalpha() or text[0] == "_":
+            tokens.append(_Token(text if text in KEYWORDS else "IDENT", text, start))
+        elif text in ("!=", "->", "(", ")", "=", "&", "|", ":", "!"):
+            tokens.append(_Token(text, text, start))
+        elif text == "-":
+            raise FormulaSyntaxError(start, "token", found="-")
+        else:
+            # A word that starts with a digit, or a stray character.
+            raise FormulaSyntaxError(start, "token", found=repr(text[0]))
+    tokens.append(_Token("EOF", "", len(source)))
     return tokens
 
 
@@ -406,20 +380,15 @@ def negate(formula: Formula) -> Formula:
 
 
 def _nnf(f: Formula, negated: bool) -> Formula:
-    """The normal form of f, or of its negation: a negated kind takes its _DUAL."""
+    """The normal form of f, or of its negation: a normal-form kind is
+    rebuilt from its fields, a negated one as its _DUAL; others are lowered."""
+    dual = _DUAL.get(type(f))
+    if dual is not None:
+        kind = dual if negated else type(f)
+        return kind(*[_nnf(x, negated) if isinstance(x, Formula) else x for x in f])
     match f:
-        case Eq(left, right) | Neq(left, right):
-            return (_DUAL[type(f)] if negated else type(f))(left, right)
-        case And(left, right) | Or(left, right) | Until(left, right) | Release(left, right):
-            kind = _DUAL[type(f)] if negated else type(f)
-            return kind(_nnf(left, negated), _nnf(right, negated))
         case Not(body):
             return _nnf(body, not negated)
-        case Next(body):
-            return Next(_nnf(body, negated))
-        case Exists(var, path, body) | Forall(var, path, body):
-            kind = _DUAL[type(f)] if negated else type(f)
-            return kind(var, path, _nnf(body, negated))
         case TrueLit():
             return FALSE_ATOM if negated else TRUE_ATOM
         case FalseLit():
@@ -438,21 +407,12 @@ def _nnf(f: Formula, negated: bool) -> Formula:
 def children(formula: Formula) -> tuple[Formula, ...]:
     """Direct subformulas, left to right; () for atoms and literals.
 
-    The one structural dispatch over node kinds: every pass that needs
-    only the shape of the tree walks it through here.
+    The one structural walk, read from the node's fields: every pass
+    that needs only the shape of the tree walks it through here.
     """
-    match formula:
-        case TrueLit() | FalseLit() | Eq() | Neq():
-            return ()
-        case Not(body) | Next(body) | Finally(body) | Globally(body):
-            return (body,)
-        case Exists(_, _, body) | Forall(_, _, body):
-            return (body,)
-        case And(left, right) | Or(left, right) | Implies(left, right):
-            return (left, right)
-        case Until(left, right) | Release(left, right):
-            return (left, right)
-    raise TypeError(f"not a formula: {formula!r}")
+    if not isinstance(formula, Formula):
+        raise TypeError(f"not a formula: {formula!r}")
+    return tuple([x for x in formula if isinstance(x, Formula)])
 
 
 _NNF_KINDS = tuple(_DUAL)
@@ -470,7 +430,8 @@ def temporal_depth(formula: Formula) -> int:
 
 
 def node_count(formula: Formula) -> int:
-    """Number of formula nodes; terms do not count."""
+    """Number of formula nodes, terms not counted: the paper's size |phi|,
+    against which criterion 3 checks the bound of |phi| + 2 states."""
     return 1 + sum(map(node_count, children(formula)))
 
 

@@ -358,6 +358,30 @@ class TestUsageErrors:
         assert err.value.code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["accept", "--formula", REQ_ACK, "--lasso", GOOD, "--state-limit", "-5"],
+            ["fuzz", "--count", "-3"],
+            ["fuzz", "--max-depth", "-1"],
+            ["fuzz", "--max-quant", "-1"],
+            ["fuzz", "--state-limit", "-1"],
+        ],
+    )
+    def test_negative_count_exits_three(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: expected a count of 0 or more, got {argv[-1]}\n" in captured.err
+
+    def test_counts_take_zero_and_the_seed_any_int(self, capsys):
+        args = build_parser().parse_args(["fuzz", "--seed", "-4", "--count", "0", "--state-limit", "0"])
+        assert (args.seed, args.count, args.state_limit) == (-4, 0, 0)
+        assert main(["fuzz", "--seed", "-4", "--count", "2"]) == 0
+        assert capsys.readouterr().out == "AGREE 2/2\n"
+
     def test_parser_builds_with_all_subcommands(self):
         parser = build_parser()
         args = parser.parse_args(["fuzz", "--seed", "1", "--count", "2"])

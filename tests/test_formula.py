@@ -29,6 +29,7 @@ from foltl.formula import (
     UnboundVariableError,
     Until,
     Var,
+    _tokenize,
     children,
     ensure_well_formed,
     format_formula,
@@ -180,6 +181,46 @@ class TestParse:
     @given(strategies.formulas())
     def test_round_trip_through_text(self, formula):
         assert parse(format_formula(formula)) == formula
+
+
+_ESCAPE_ERROR = 'escape sequence \\" or \\\\'
+
+
+class TestTokenize:
+    """Exact tokens, as (kind, text, position), or the exact error, as (position, expected, message)."""
+
+    @pytest.mark.parametrize(
+        "source,tokens",
+        [
+            # U+00A0 and U+2028 are whitespace (str.isspace), so they only separate.
+            ('"a"\u00a0=\u2028"b"', [("STRING", "a", 0), ("=", "=", 4), ("STRING", "b", 6), ("EOF", "", 9)]),
+            # A name is a letter or _, then letters, digits or _, in any script.
+            ("caf\u00e9 != _x\u0663", [("IDENT", "caf\u00e9", 0), ("!=", "!=", 5), ("IDENT", "_x\u0663", 8), ("EOF", "", 11)]),
+            ("!x", [("!", "!", 0), ("IDENT", "x", 1), ("EOF", "", 2)]),
+            ("a->b", [("IDENT", "a", 0), ("->", "->", 1), ("IDENT", "b", 3), ("EOF", "", 4)]),
+            ('"a\\\\\\"b"', [("STRING", 'a\\"b', 0), ("EOF", "", 8)]),
+        ],
+    )
+    def test_tokens(self, source, tokens):
+        assert [tuple(token) for token in _tokenize(source)] == tokens
+
+    @pytest.mark.parametrize(
+        "source,position,expected,message",
+        [
+            # Superscript two and Arabic-Indic three are digits, not letters.
+            ("\u00b2x", 0, "token", "at offset 0: expected token, found '\u00b2'"),
+            ("x = \u0663", 4, "token", "at offset 4: expected token, found '\u0663'"),
+            ('"a\\x"', 2, _ESCAPE_ERROR, f"at offset 2: expected {_ESCAPE_ERROR}"),
+            ('"a\\', 2, _ESCAPE_ERROR, f"at offset 2: expected {_ESCAPE_ERROR}"),
+            ('x = "a', 4, "closing quote", "at offset 4: expected closing quote"),
+            ('"a\\"', 0, "closing quote", "at offset 0: expected closing quote"),
+            ('"a" - "b"', 4, "token", "at offset 4: expected token, found -"),
+        ],
+    )
+    def test_errors(self, source, position, expected, message):
+        with pytest.raises(FormulaSyntaxError) as err:
+            _tokenize(source)
+        assert (err.value.position, err.value.expected, str(err.value)) == (position, expected, message)
 
 
 class TestRecords:

@@ -1,11 +1,14 @@
 import itertools
 
+import pytest
 from hypothesis import given
 
 import strategies
-from foltl.automaton import FALSE_DNF, TRUE_DNF, build_automaton
+from foltl.acceptance import lasso_accepts, oracle_eval
+from foltl.automaton import EMPTY_VALUATION, FALSE_DNF, TRUE_DNF, build_automaton
 from foltl.events import load_trace
 from foltl.formula import parse, to_nnf
+from foltl.gen import GenBounds, case_rng, gen_formula, gen_lasso
 from foltl.monitor import (
     Configuration,
     Verdict,
@@ -106,3 +109,26 @@ class TestProperties:
         full = monitor_trace(formula, trace)
         for cut in range(len(trace)):
             assert monitor_trace(formula, trace[:cut]) == full[:cut]
+
+
+class TestLassoCrossCheck:
+    """A lasso extends every finite prefix of its own unrolling, so a
+    decided verdict on prefix + loop x 3 must equal both lasso routes."""
+
+    @pytest.mark.parametrize("depth,quantifiers", [(3, 2), (4, 3)])
+    def test_decided_verdicts_agree_with_walk_and_oracle(self, depth, quantifiers):
+        bounds = GenBounds(max_depth=depth, max_quantifiers=quantifiers)
+        decided = 0
+        for index in range(300):
+            # The seed-42 corpus of the fuzz command.
+            rng = case_rng(42, "case", index)
+            formula = gen_formula(rng, bounds)
+            trace = gen_lasso(rng, bounds)
+            final = monitor_trace(formula, trace.prefix + trace.loop * 3)[-1]
+            if final is Verdict.INCONCLUSIVE:
+                continue
+            decided += 1
+            holds = final is Verdict.TRUE
+            assert lasso_accepts(build_automaton(to_nnf(formula)), trace) is holds, index
+            assert oracle_eval(EMPTY_VALUATION, formula, trace) is holds, index
+        assert decided >= 200
