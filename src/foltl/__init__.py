@@ -17,7 +17,6 @@ from .acceptance import (
 from .automaton import (
     EMPTY_VALUATION,
     Automaton,
-    TransitionDnf,
     Valuation,
     build_automaton,
 )

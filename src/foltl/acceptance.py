@@ -197,7 +197,7 @@ def lasso_accepts(
             after = canonical_position(trace, position + 1)
             rewrite = automaton.delta(valuation, state, position_message(trace, position))
             leaves = holds = False
-            for conjunct in rewrite.conjuncts:
+            for conjunct in rewrite:
                 # Decide every obligation, so the pairs decided do not
                 # depend on the order a set is iterated in.
                 if all([wins(after, o) for o in conjunct - {obligation}]):

@@ -6,18 +6,17 @@ plus TOP.  Construction checks scoping, then walks the formula once,
 through subformulas, which also numbers the states.  A transition maps
 an obligation (variable valuation, state) and a message to a positive
 boolean combination of successor obligations, built directly in
-disjunctive normal form: a set of conjuncts with no canonical order,
-none a subset of another.  Atoms that hold become the empty conjunct
-and atoms that fail the empty disjunction, so the pits never appear
-inside a conjunct.  Quantifiers expand over the value domain the
-current message yields for their path, so the automaton stays
-finite-state while valuations live inside obligations; a reachable
-obligation's valuation binds its state's free variables and none that
-the state quantifies again.
+disjunctive normal form: a plain frozenset of conjuncts, each a
+frozenset of obligations, none a subset of another.  Atoms that hold
+become the empty conjunct and atoms that fail the empty disjunction,
+so the pits never appear inside a conjunct.  Quantifiers expand over
+the value domain the current message yields for their path, so the
+automaton stays finite-state while valuations live inside obligations;
+a reachable obligation's valuation binds its state's free variables
+and none that the state quantifies again.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Collection, Iterable
 
 from .events import Message, dom
@@ -30,7 +29,6 @@ from .formula import (
     Neq,
     Next,
     Or,
-    Record,
     Release,
     Term,
     Until,
@@ -61,20 +59,10 @@ def value_of(valuation: Valuation, term: Term) -> str:
 
 Obligation = tuple[Valuation, int]
 Conjunct = frozenset[Obligation]
-
-
-class TransitionDnf(Record, namedtuple("TransitionDnf", "conjuncts")):  # conjuncts: frozenset[Conjunct]
-    """Order-free antichain of obligation conjuncts: no conjunct is a
-    subset of another, so equality is structural.  Vacuous truth is one
-    empty conjunct, unsatisfiability is no conjunct at all."""
-
-    __slots__ = ()
-
-    def is_true(self) -> bool:
-        return frozenset() in self.conjuncts
-
-    def is_false(self) -> bool:
-        return not self.conjuncts
+# An order-free antichain of conjuncts: no conjunct is a subset of
+# another, so equality is structural.  Vacuous truth is one empty
+# conjunct, unsatisfiability is no conjunct at all.
+Dnf = frozenset[Conjunct]
 
 
 def _normalize(conjuncts: Iterable[Conjunct]) -> list[Conjunct]:
@@ -108,16 +96,16 @@ def _conjoin(operands: Iterable[Collection[Conjunct]]) -> list[Conjunct]:
     return acc
 
 
-TRUE_DNF = TransitionDnf(frozenset({frozenset()}))
-FALSE_DNF = TransitionDnf(frozenset())
+TRUE_DNF: Dnf = frozenset({frozenset()})
+FALSE_DNF: Dnf = frozenset()
 
 
-def dnf_or(dnfs: Iterable[TransitionDnf]) -> TransitionDnf:
-    return TransitionDnf(frozenset(_normalize(c for d in dnfs for c in d.conjuncts)))
+def dnf_or(dnfs: Iterable[Dnf]) -> Dnf:
+    return frozenset(_normalize(c for d in dnfs for c in d))
 
 
-def dnf_and(dnfs: Iterable[TransitionDnf]) -> TransitionDnf:
-    return TransitionDnf(frozenset(_conjoin(d.conjuncts for d in dnfs)))
+def dnf_and(dnfs: Iterable[Dnf]) -> Dnf:
+    return frozenset(_conjoin(dnfs))
 
 
 # The pits are the only states that are not formulas, so a string will do.
@@ -150,7 +138,7 @@ class Automaton:
         state = self.states[ref]
         return state if isinstance(state, str) else format_formula(state)
 
-    def delta(self, valuation: Valuation, state: int, message: Message) -> TransitionDnf:
+    def delta(self, valuation: Valuation, state: int, message: Message) -> Dnf:
         """One-step obligation rewrite against a message, normalized.
 
         The valuation binds the state's free variables, as it does in
@@ -165,7 +153,7 @@ class Automaton:
             return FALSE_DNF
         target = self.states[state]
         assert isinstance(target, Formula)
-        return TransitionDnf(frozenset(_normalize(self._transition(valuation, target, message))))
+        return frozenset(_normalize(self._transition(valuation, target, message)))
 
     def _transition(self, p: Valuation, f: Formula, m: Message) -> list[Conjunct]:
         match f:

@@ -5,8 +5,9 @@ repeated key, and that object is already the tree the formulas speak
 about: object keys are steps, an array repeats its key once per item,
 and strings are the only values.  A finite trace is a tuple of
 messages, read from JSON Lines; a lasso trace is a finite prefix plus
-a nonempty loop repeated forever.  Messages and lassos are
-tuple-backed records (see formula.Record), equal only to their own kind.
+a nonempty loop repeated forever.  A message is the plain dict itself,
+checked once and never mutated; a lasso is a tuple-backed record (see
+formula.Record), equal only to its own kind.
 """
 from __future__ import annotations
 
@@ -32,10 +33,8 @@ class EmptyLoopError(ValueError):
         super().__init__("lasso loop must hold at least one message")
 
 
-class Message(Record, namedtuple("Message", "obj")):  # obj: dict
-    """A decoded JSON object, checked by message_from_obj and never mutated."""
-
-    __slots__ = ()
+# A decoded JSON object, checked by message_from_obj and never mutated.
+Message = dict[str, object]
 
 
 class LassoTrace(Record, namedtuple("LassoTrace", "prefix loop")):  # prefix, loop: tuple[Message, ...]
@@ -71,7 +70,7 @@ def dom(message: Message, path: Path) -> frozenset[str]:
     its items.  Only strings are values.  A path that matches nothing
     yields the empty set.
     """
-    ((root, value),) = message.obj.items()
+    ((root, value),) = message.items()
     if root != path.segments[0]:
         return frozenset()
     nodes = value if isinstance(value, list) else [value]
@@ -102,7 +101,7 @@ def _check_value(name: str, value: object, line: int) -> None:
 
 
 def message_from_obj(obj: object, line: int = 0) -> Message:
-    """Check one decoded JSON object and wrap it, without copying."""
+    """Check one decoded JSON object and return it, not a copy."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedInputError(line, "message must be an object with exactly one root key")
     ((name, value),) = obj.items()
@@ -112,7 +111,7 @@ def message_from_obj(obj: object, line: int = 0) -> Message:
         raise MalformedInputError(line, _TOO_DEEP) from None
     if isinstance(value, list) and len(value) != 1:
         raise MalformedInputError(line, "root element cannot repeat")
-    return Message(obj)
+    return obj
 
 
 def _decode(text: str, line: int) -> object:
@@ -174,6 +173,6 @@ def load_lasso(text: str) -> LassoTrace:
 
 def lasso_to_json(trace: LassoTrace) -> str:
     return json.dumps(
-        {"prefix": [m.obj for m in trace.prefix], "loop": [m.obj for m in trace.loop]},
+        {"prefix": trace.prefix, "loop": trace.loop},
         separators=(",", ":"),
     )

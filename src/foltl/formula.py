@@ -49,7 +49,9 @@ class ShadowedVariableError(FormulaError):
 class Record:
     """Mixin, listed before a namedtuple: equal only to a record of its own
     kind with equal fields, hashed as its field tuple, in C, and always
-    truthy, even with no fields.  Subclasses set __slots__ = ().
+    truthy, even with no fields.  Subclasses set __slots__ = ().  A value
+    every caller would unwrap at once stays plain instead: a message is
+    its dict, and a DNF of obligations its frozenset.
     """
 
     __slots__ = ()
@@ -172,6 +174,12 @@ class _Token(Record, namedtuple("_Token", "kind text position")):  # kind, text:
     # kind is IDENT, STRING, a punctuation literal, or EOF.
     __slots__ = ()
 
+    def found(self) -> str:
+        """How a syntax error names this token: a string quoted, EOF as end of input."""
+        if self.kind == "EOF":
+            return "end of input"
+        return _quote(self.text) if self.kind == "STRING" else self.text
+
 
 # A string (body, closing quote if any), a word, a two-character
 # operator, or one other character; whitespace only separates.
@@ -209,6 +217,8 @@ _UNARY = {"G": Globally, "F": Finally, "X": Next, "!": Not}
 _INFIX = ({"->": Implies}, {"|": Or}, {"&": And}, {"U": Until, "R": Release})
 _QUANTIFIER = {"exists": Exists, "forall": Forall}
 _COMPARE = {"=": Eq, "!=": Neq}
+# What _expect says it wanted, for the token kinds that are not literal text.
+_EXPECTED = {"IDENT": "variable name", "STRING": "quoted path"}
 _SYMBOL = {
     kind: symbol
     for table in (_UNARY, *_INFIX, _QUANTIFIER, _COMPARE)
@@ -244,7 +254,7 @@ class Parser:
     def _expect(self, kind: str) -> _Token:
         tok = self._peek()
         if tok.kind != kind:
-            raise FormulaSyntaxError(tok.position, f"'{kind}'", found=tok.text or "end of input")
+            raise FormulaSyntaxError(tok.position, _EXPECTED.get(kind, f"'{kind}'"), found=tok.found())
         return self._advance()
 
     def _nested(self, opener: _Token, parse, *args):
@@ -260,7 +270,7 @@ class Parser:
         formula = self._binary(0)
         tok = self._peek()
         if tok.kind != "EOF":
-            raise FormulaSyntaxError(tok.position, "end of input", found=tok.text)
+            raise FormulaSyntaxError(tok.position, "end of input", found=tok.found())
         return formula
 
     def _binary(self, level: int) -> Formula:
@@ -308,7 +318,7 @@ class Parser:
         if op.kind in _COMPARE:
             self._advance()
             return _COMPARE[op.kind](left, self._term())
-        raise FormulaSyntaxError(op.position, "'=' or '!='", found=op.text or "end of input")
+        raise FormulaSyntaxError(op.position, "'=' or '!='", found=op.found())
 
     def _term(self) -> Term:
         tok = self._peek()
@@ -318,7 +328,7 @@ class Parser:
         if tok.kind == "STRING":
             self._advance()
             return Const(tok.text)
-        raise FormulaSyntaxError(tok.position, "variable or quoted constant", found=tok.text or "end of input")
+        raise FormulaSyntaxError(tok.position, "variable or quoted constant", found=tok.found())
 
 
 def parse(source: str) -> Formula:

@@ -34,6 +34,7 @@ from .formula import (
     TrueLit,
     Until,
     Var,
+    _TEMPORAL_KINDS,
     is_nnf,
 )
 
@@ -121,41 +122,29 @@ def _gen(
     quantifiers: list[int],
 ) -> Formula:
     budget[0] -= 1
-    kinds = ["atom", "atom", "atom", "literal"]
+    # Eq stands for both atoms and TrueLit for both literals.
+    kinds = [Eq, Eq, Eq, TrueLit]
     if budget[0] > 0:
-        kinds += ["not", "and", "or", "implies"]
+        kinds += [Not, And, Or, Implies]
         if depth > 0:
-            kinds += ["next", "finally", "globally", "until", "until", "release", "release"]
+            kinds += [Next, Finally, Globally, Until, Until, Release, Release]
         if quantifiers[0] > 0:
-            kinds += ["exists", "exists", "forall", "forall"]
+            kinds += [Exists, Exists, Forall, Forall]
     kind = rng.choice(kinds)
     values = VALUES[: bounds.alphabet]
 
-    if kind == "atom":
+    if kind is Eq:
         left = _gen_term(rng, scope, values)
         right = _gen_term(rng, scope, values)
         return Eq(left, right) if rng.random() < 0.5 else Neq(left, right)
-    if kind == "literal":
+    if kind is TrueLit:
         return TrueLit() if rng.random() < 0.5 else FalseLit()
-    if kind == "not":
-        return Not(_gen(rng, bounds, depth, scope, budget, quantifiers))
-    if kind in ("and", "or", "implies"):
-        left = _gen(rng, bounds, depth, scope, budget, quantifiers)
-        right = _gen(rng, bounds, depth, scope, budget, quantifiers)
-        ctor = {"and": And, "or": Or, "implies": Implies}[kind]
-        return ctor(left, right)
-    if kind in ("next", "finally", "globally"):
-        body = _gen(rng, bounds, depth - 1, scope, budget, quantifiers)
-        ctor = {"next": Next, "finally": Finally, "globally": Globally}[kind]
-        return ctor(body)
-    if kind in ("until", "release"):
-        left = _gen(rng, bounds, depth - 1, scope, budget, quantifiers)
-        right = _gen(rng, bounds, depth - 1, scope, budget, quantifiers)
-        return Until(left, right) if kind == "until" else Release(left, right)
-    # exists / forall: nesting depth names the variable, so rebinding
-    # can only happen between sibling branches, never on one branch.
-    name = f"x{len(scope)}"
-    path = rng.choice(PATHS)
-    quantifiers[0] -= 1
-    body = _gen(rng, bounds, depth, scope + (name,), budget, quantifiers)
-    return Exists(name, path, body) if kind == "exists" else Forall(name, path, body)
+    if kind in (Exists, Forall):
+        # Nesting depth names the variable, so rebinding can only
+        # happen between sibling branches, never on one branch.
+        name = f"x{len(scope)}"
+        path = rng.choice(PATHS)
+        quantifiers[0] -= 1
+        return kind(name, path, _gen(rng, bounds, depth, scope + (name,), budget, quantifiers))
+    below = depth - 1 if kind in _TEMPORAL_KINDS else depth
+    return kind(*[_gen(rng, bounds, below, scope, budget, quantifiers) for _ in kind._fields])

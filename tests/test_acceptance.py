@@ -24,7 +24,7 @@ from foltl.formula import (
     to_nnf,
 )
 from foltl.gen import GenBounds, case_rng, gen_finite_trace, gen_formula, gen_lasso, gen_message, gen_sugared_formula
-from foltl.monitor import Configuration, Verdict, initial_configuration, monitor_trace, step, verdict
+from foltl.monitor import Configuration, Disjunction, Verdict, initial_configuration, monitor_trace, step, verdict
 
 STOCK = parse_message(
     '{"message":{"action":"placeBuyOrder",'
@@ -170,14 +170,14 @@ def test_criterion_8_verdict_finality():
     started = time.perf_counter()
     automaton = build_automaton(to_nnf(parse('G exists x in "/m/a" : x = "a"')))
     bounds = GenBounds()
-    settled_true = Configuration(TRUE_DNF)
-    settled_false = Configuration(FALSE_DNF)
+    settled_true = Configuration(Disjunction(TRUE_DNF))
+    settled_false = Configuration(Disjunction(FALSE_DNF))
     ok = True
     for index in range(1000):
         message = gen_message(case_rng(3, "stress", index), bounds)
         settled_true = step(automaton, settled_true, message)
         settled_false = step(automaton, settled_false, message)
-        ok = ok and settled_true.dnf == TRUE_DNF and settled_false.dnf == FALSE_DNF
+        ok = ok and settled_true.dnf.conjuncts == TRUE_DNF and settled_false.dnf.conjuncts == FALSE_DNF
     elapsed = time.perf_counter() - started
     ok = ok and verdict(settled_true) is Verdict.TRUE and verdict(settled_false) is Verdict.FALSE
     _report(8, "verdict finality", ok and elapsed < 1.0)

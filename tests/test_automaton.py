@@ -12,7 +12,6 @@ from foltl.automaton import (
     TOP,
     TRUE_DNF,
     Automaton,
-    TransitionDnf,
     build_automaton,
     dnf_and,
     dnf_or,
@@ -98,7 +97,7 @@ def _ob(state, **bindings):
 
 def _lit(state, **bindings):
     """The DNF holding one obligation alone."""
-    return TransitionDnf(frozenset({frozenset({_ob(state, **bindings)})}))
+    return frozenset({frozenset({_ob(state, **bindings)})})
 
 
 class TestDnfConversion:
@@ -117,7 +116,7 @@ class TestDnfConversion:
 
     def test_conjunction_distributes(self):
         got = dnf_and([dnf_or([_lit(0), _lit(1)]), dnf_or([_lit(2), _lit(3)])])
-        assert got.conjuncts == {
+        assert got == {
             frozenset({_ob(0), _ob(2)}),
             frozenset({_ob(0), _ob(3)}),
             frozenset({_ob(1), _ob(2)}),
@@ -130,21 +129,16 @@ class TestDnfConversion:
 
     def test_duplicates_collapse(self):
         got = dnf_or([_lit(0), _lit(0)])
-        assert len(got.conjuncts) == 1
+        assert len(got) == 1
 
     def test_same_state_different_bindings_are_distinct(self):
         got = dnf_or([_lit(0, x="1"), _lit(0, x="2")])
-        assert len(got.conjuncts) == 2
+        assert len(got) == 2
 
     def test_operand_order_is_invisible(self):
         parts = [dnf_and([_lit(2), _lit(1)]), _lit(9), _lit(4)]
         assert dnf_or(parts) == dnf_or(parts[::-1])
         assert dnf_and(parts) == dnf_and(parts[::-1])
-
-    def test_truth_predicates(self):
-        assert TRUE_DNF.is_true() and not TRUE_DNF.is_false()
-        assert FALSE_DNF.is_false() and not FALSE_DNF.is_true()
-        assert not _lit(0).is_true() and not _lit(0).is_false()
 
     def test_empty_combinators(self):
         assert dnf_and([]) == TRUE_DNF
@@ -168,9 +162,7 @@ _UNIVERSE = (
 
 def _antichain(conjuncts):
     """The minimal members of a set of conjuncts, as a DNF operand."""
-    return TransitionDnf(
-        frozenset(c for c in conjuncts if not any(other < c for other in conjuncts))
-    )
+    return frozenset(c for c in conjuncts if not any(other < c for other in conjuncts))
 
 
 _CONJUNCTS = st.frozensets(st.sampled_from(_UNIVERSE), max_size=3)
@@ -186,7 +178,7 @@ _MIXED = st.tuples(
 
 
 def _eval_dnf(dnf, truth):
-    return any(conjunct <= truth for conjunct in dnf.conjuncts)
+    return any(conjunct <= truth for conjunct in dnf)
 
 
 def _assignments():
@@ -195,7 +187,7 @@ def _assignments():
 
 
 def _assert_antichain(dnf):
-    for left, right in itertools.combinations(dnf.conjuncts, 2):
+    for left, right in itertools.combinations(dnf, 2):
         assert not (left <= right or right <= left)
 
 
@@ -322,7 +314,7 @@ class TestDelta:
         auto = build_automaton(phi)
         got = auto.delta(EMPTY_VALUATION, 0, STOCK)
         held = (EMPTY_VALUATION, auto.states.index(A))
-        assert got == TransitionDnf(frozenset({frozenset({held})}))
+        assert got == frozenset({frozenset({held})})
 
     def test_until_settles_on_true_right(self):
         auto = build_automaton(Until(NO, A))
@@ -332,7 +324,7 @@ class TestDelta:
         phi = Until(A, NO)
         auto = build_automaton(phi)
         got = auto.delta(EMPTY_VALUATION, 0, STOCK)
-        assert got == TransitionDnf(frozenset({frozenset({(EMPTY_VALUATION, 0)})}))
+        assert got == frozenset({frozenset({(EMPTY_VALUATION, 0)})})
 
     def test_until_fails_when_both_fail(self):
         auto = build_automaton(Until(NO, NO))
@@ -346,7 +338,7 @@ class TestDelta:
         phi = Release(NO, A)
         auto = build_automaton(phi)
         got = auto.delta(EMPTY_VALUATION, 0, STOCK)
-        assert got == TransitionDnf(frozenset({frozenset({(EMPTY_VALUATION, 0)})}))
+        assert got == frozenset({frozenset({(EMPTY_VALUATION, 0)})})
 
     def test_release_fails_without_right(self):
         auto = build_automaton(Release(A, NO))
@@ -372,13 +364,11 @@ class TestDelta:
         auto = build_automaton(to_nnf(phi))
         atom = auto.states.index(Eq(Var("x"), Const("q")))
         got = auto.delta(EMPTY_VALUATION, 0, AB)
-        assert got == TransitionDnf(
-            frozenset(
-                {
-                    frozenset({(frozenset({("x", "a")}), atom)}),
-                    frozenset({(frozenset({("x", "b")}), atom)}),
-                }
-            )
+        assert got == frozenset(
+            {
+                frozenset({(frozenset({("x", "a")}), atom)}),
+                frozenset({(frozenset({("x", "b")}), atom)}),
+            }
         )
 
     def test_forall_joins_all_values(self):
@@ -386,23 +376,22 @@ class TestDelta:
         auto = build_automaton(to_nnf(phi))
         atom = auto.states.index(Eq(Var("x"), Const("q")))
         got = auto.delta(EMPTY_VALUATION, 0, AB)
-        assert got == TransitionDnf(
-            frozenset(
-                {
-                    frozenset(
-                        {
-                            (frozenset({("x", "a")}), atom),
-                            (frozenset({("x", "b")}), atom),
-                        }
-                    ),
-                }
-            )
+        assert got == frozenset(
+            {
+                frozenset(
+                    {
+                        (frozenset({("x", "a")}), atom),
+                        (frozenset({("x", "b")}), atom),
+                    }
+                ),
+            }
         )
 
     def test_delta_is_pure(self):
         phi = to_nnf(parse('G exists x in "/m/a" : x = "a"'))
         auto = build_automaton(phi)
         first = auto.delta(EMPTY_VALUATION, 0, AB)
+        assert type(first) is frozenset
         assert auto.delta(EMPTY_VALUATION, 0, AB) == first
 
 
@@ -415,7 +404,7 @@ def _reachable(auto, messages):
         for valuation, state in sorted(frontier, key=lambda o: (o[1], sorted(o[0]))):
             dnf = auto.delta(valuation, state, message)
             seen.append(((valuation, state), dnf))
-            for conjunct in dnf.conjuncts:
+            for conjunct in dnf:
                 step.update(conjunct)
         frontier = step
         if not frontier:
@@ -430,7 +419,7 @@ class TestDeltaInvariants:
         closure_size = len(auto.states) - 2
         for (valuation, state), dnf in _reachable(auto, trace):
             source = auto.states[state]
-            for conjunct in dnf.conjuncts:
+            for conjunct in dnf:
                 for target_valuation, target in conjunct:
                     assert 0 <= target < closure_size
                     target_formula = auto.states[target]
@@ -448,7 +437,7 @@ class TestDeltaInvariants:
         for obligation, dnf in _reachable(auto, trace):
             source = auto.states[obligation[1]]
             strict = set(subformulas(source)) - {source}
-            for conjunct in dnf.conjuncts:
+            for conjunct in dnf:
                 for target in conjunct:
                     assert target == obligation or auto.states[target[1]] in strict
 
@@ -457,13 +446,13 @@ class TestDeltaInvariants:
         auto = build_automaton(formula)
         for (valuation, state), dnf in _reachable(auto, trace):
             if temporal_depth(auto.states[state]) == 0:
-                assert dnf.is_true() or dnf.is_false()
+                assert dnf in (TRUE_DNF, FALSE_DNF)
 
     @given(strategies.nnf_formulas(), strategies.traces(max_length=2))
     def test_dnf_results_are_antichains(self, formula, trace):
         auto = build_automaton(formula)
         for _, dnf in _reachable(auto, trace):
-            for left, right in itertools.combinations(dnf.conjuncts, 2):
+            for left, right in itertools.combinations(dnf, 2):
                 assert not (left <= right or right <= left)
 
 

@@ -48,7 +48,7 @@ def _reachable_pairs(formula, lasso):
         position, (valuation, state) = frontier.pop()
         after = canonical_position(lasso, position + 1)
         rewrite = automaton.delta(valuation, state, position_message(lasso, position))
-        for conjunct in rewrite.conjuncts:
+        for conjunct in rewrite:
             for obligation in conjunct:
                 if (after, obligation) not in seen:
                     seen.add((after, obligation))

@@ -15,6 +15,7 @@ from foltl.events import (
     lasso_to_json,
     load_lasso,
     load_trace,
+    message_from_obj,
     parse_message,
     position_message,
 )
@@ -136,6 +137,10 @@ class TestIngestion:
         assert err.value.line == 5
         assert "nests too deeply" in str(err.value)
 
+    def test_a_message_is_the_checked_object_itself(self):
+        obj = json.loads(STOCK_JSON)
+        assert message_from_obj(obj) is obj
+
     def test_blank_lines_skipped(self):
         text = '\n{"m":{"a":"x"}}\n\n{"m":{}}\n'
         assert len(load_trace(text)) == 2
@@ -145,7 +150,7 @@ class TestIngestion:
 
     def test_unicode_line_separators_stay_inside_strings(self):
         (message,) = load_trace('{"m":{"a":"x\u2028y"}}')
-        assert message.obj == {"m": {"a": "x\u2028y"}}
+        assert message == {"m": {"a": "x\u2028y"}}
 
     def test_lines_split_at_every_newline_convention(self):
         assert len(load_trace('{"m":{}}\r\n{"m":{}}\r{"m":{}}\n')) == 3

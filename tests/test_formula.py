@@ -129,6 +129,25 @@ class TestParse:
         assert err.value.position == 6
         assert "constant" in err.value.expected
 
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            # A string token is quoted, even an empty one; only EOF is end of input.
+            ('exists x in "/m/a" "" x = "v"', "at offset 19: expected ':', found \"\""),
+            ('"a" = "b" ""', 'at offset 10: expected end of input, found ""'),
+            ('exists x in "/m/a" "U" x = "v"', "at offset 19: expected ':', found \"U\""),
+            ('exists x "/m" : x = "a"', "at offset 9: expected 'in', found \"/m\""),
+            ('exists "x" in "/m" : x = "a"', 'at offset 7: expected variable name, found "x"'),
+            ("exists x in", "at offset 11: expected quoted path, found end of input"),
+            ('"a" = ', "at offset 6: expected variable or quoted constant, found end of input"),
+            ('exists x in "/m" x = "a"', "at offset 17: expected ':', found x"),
+        ],
+    )
+    def test_syntax_error_names_the_token_found(self, source, message):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(source)
+        assert str(err.value) == message
+
     def test_unterminated_string(self):
         with pytest.raises(FormulaSyntaxError):
             parse('"a = "a"')

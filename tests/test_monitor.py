@@ -11,6 +11,7 @@ from foltl.formula import parse, to_nnf
 from foltl.gen import GenBounds, case_rng, gen_formula, gen_lasso
 from foltl.monitor import (
     Configuration,
+    Disjunction,
     Verdict,
     initial_configuration,
     monitor_trace,
@@ -66,14 +67,14 @@ class TestConfigurations:
         assert verdict(config) is Verdict.INCONCLUSIVE
 
     def test_verdict_of_decided_configurations(self):
-        assert verdict(Configuration(TRUE_DNF)) is Verdict.TRUE
-        assert verdict(Configuration(FALSE_DNF)) is Verdict.FALSE
+        assert verdict(Configuration(Disjunction(TRUE_DNF))) is Verdict.TRUE
+        assert verdict(Configuration(Disjunction(FALSE_DNF))) is Verdict.FALSE
 
     def test_decided_configurations_are_fixed_points(self):
         auto = build_automaton(to_nnf(parse('G exists x in "/m/a" : x = "a"')))
         for message in MIXED:
-            assert step(auto, Configuration(TRUE_DNF), message).dnf == TRUE_DNF
-            assert step(auto, Configuration(FALSE_DNF), message).dnf == FALSE_DNF
+            assert step(auto, Configuration(Disjunction(TRUE_DNF)), message).dnf.conjuncts == TRUE_DNF
+            assert step(auto, Configuration(Disjunction(FALSE_DNF)), message).dnf.conjuncts == FALSE_DNF
 
     def test_verdict_string_form(self):
         assert str(Verdict.TRUE) == "TRUE"
