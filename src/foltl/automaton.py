@@ -14,6 +14,12 @@ the value domain the current message yields for their path, so the
 automaton stays finite-state while valuations live inside obligations;
 a reachable obligation's valuation binds its state's free variables
 and none that the state quantifies again.
+
+What a state does on a message is fixed when the automaton is built,
+so each state is compiled, on its first transition, into a rule that
+closes over its operands' rules, successor references, quantified
+variables and paths; a transition hashes no formula.  Each path's
+domain is extracted once per message.
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ from .formula import (
     Neq,
     Next,
     Or,
+    Path,
     Release,
     Term,
     Until,
@@ -113,12 +120,28 @@ TOP = "TOP"
 BOTTOM = "BOTTOM"
 
 
+# Rule results are shared, so no rule may mutate the list it gets.
+_HOLDS: list[Conjunct] = [frozenset()]
+_FAILS: list[Conjunct] = []
+
+
+def _always(p: Valuation, m: Message) -> list[Conjunct]:
+    return _HOLDS
+
+
+def _never(p: Valuation, m: Message) -> list[Conjunct]:
+    return _FAILS
+
+
 class Automaton:
     """Alternating automaton for one normal-form formula.
 
     The state table holds the subformula closure in first-visit order
     followed by the TOP and BOTTOM pits; state references are indices
-    into it.  Construction is pure and instances are never mutated.
+    into it.  Construction is pure and the table never changes.  Two
+    caches never show in what delta returns: each state's rule, kept
+    from its first delta, and the domains of the last message, kept in
+    one tuple with it, so that threads never mix two messages' domains.
     """
 
     def __init__(self, source: Formula):
@@ -133,6 +156,8 @@ class Automaton:
         ) | {self.top}
         # The source is the closure's first member.
         self.initial: Obligation = (EMPTY_VALUATION, 0)
+        self._rules: list = [None] * len(self._refs) + [_always, _never]
+        self._last: tuple[Message | None, dict[Path, frozenset[str]]] = (None, {})
 
     def state_label(self, ref: int) -> str:
         state = self.states[ref]
@@ -144,47 +169,75 @@ class Automaton:
         The valuation binds the state's free variables, as it does in
         every obligation reachable from the initial one: the source is
         well formed, so no quantifier rebinds a variable.  Pure in all
-        three arguments; callers that revisit the same (valuation,
-        state) pair within one message should memoize.
+        three arguments, as messages are never mutated.  Each path's
+        domain is extracted once per message object, so callers that
+        rewrite many obligations against one message pass that object.
         """
-        if state == self.top:
-            return TRUE_DNF
-        if state == self.bottom:
-            return FALSE_DNF
-        target = self.states[state]
-        assert isinstance(target, Formula)
-        return frozenset(_normalize(self._transition(valuation, target, message)))
+        rule = self._rules[state]
+        if rule is None:
+            rule = self._rules[state] = self._compile(self.states[state])
+        return frozenset(_normalize(rule(valuation, message)))
 
-    def _transition(self, p: Valuation, f: Formula, m: Message) -> list[Conjunct]:
-        match f:
-            case Eq(left, right):
-                return [frozenset()] if value_of(p, left) == value_of(p, right) else []
-            case Neq(left, right):
-                return [frozenset()] if value_of(p, left) != value_of(p, right) else []
-            case Or(left, right):
-                return self._transition(p, left, m) + self._transition(p, right, m)
-            case And(left, right):
-                return _conjoin((self._transition(p, left, m), self._transition(p, right, m)))
-            case Next(body):
-                return [frozenset({(p, self._refs[body])})]
-            case Until(left, right):
-                hold = _conjoin((self._transition(p, left, m), [frozenset({(p, self._refs[f])})]))
-                return self._transition(p, right, m) + hold
-            case Release(left, right):
-                constraint = self._transition(p, right, m)
-                settle = _conjoin((self._transition(p, left, m), constraint))
-                hold = _conjoin((constraint, [frozenset({(p, self._refs[f])})]))
-                return settle + hold
-            case Exists(var, path, body):
-                return [
-                    conjunct
-                    for value in dom(m, path)
-                    for conjunct in self._transition(p | {(var, value)}, body, m)
-                ]
-            case Forall(var, path, body):
-                return _conjoin(
-                    self._transition(p | {(var, value)}, body, m) for value in dom(m, path)
+    def _domain(self, message: Message, path: Path) -> frozenset[str]:
+        last, domains = self._last
+        if last is not message:
+            domains = {}
+            self._last = (message, domains)
+        domain = domains.get(path)
+        if domain is None:
+            domain = domains[path] = dom(message, path)
+        return domain
+
+    def _compile(self, f: Formula):
+        """The formula's rule, (valuation, message) -> conjuncts, over its operands' rules."""
+        # Dispatch on the exact type: a class pattern in a match costs
+        # several times as much, and every node is compiled once per state.
+        kind = type(f)
+        if kind is Eq or kind is Neq:
+            left, right = f
+            same = kind is Eq
+            if type(left) is Var or type(right) is Var:
+                return lambda p, m: (
+                    _HOLDS if (value_of(p, left) == value_of(p, right)) == same else _FAILS
                 )
+            return _always if (left.value == right.value) == same else _never
+        if kind is Or or kind is And:
+            first, second = map(self._compile, f)
+            if kind is Or:
+                return lambda p, m: first(p, m) + second(p, m)
+            return lambda p, m: _conjoin((first(p, m), second(p, m)))
+        if kind is Exists or kind is Forall:
+            var, path, body = f
+            body_rule = None
+
+            def bodies(p: Valuation, m: Message) -> list[list[Conjunct]]:
+                # Compiled on the first value bound: over domains that
+                # stay empty the body never runs.
+                nonlocal body_rule
+                values = self._domain(m, path)
+                if values and body_rule is None:
+                    body_rule = self._compile(body)
+                return [body_rule(p | {(var, value)}, m) for value in values]
+
+            if kind is Exists:
+                return lambda p, m: [c for conjuncts in bodies(p, m) for c in conjuncts]
+            return lambda p, m: _conjoin(bodies(p, m))
+        if kind is Next:
+            later = self._refs[f.body]
+            return lambda p, m: [frozenset({(p, later)})]
+        if kind is Until or kind is Release:
+            first, second = map(self._compile, f)
+            ref = self._refs[f]
+            # Conjoining a single conjunct adds its obligation to each
+            # conjunct; delta's normalization removes what that subsumes.
+            if kind is Until:
+                return lambda p, m: second(p, m) + [c | {(p, ref)} for c in first(p, m)]
+
+            def release(p: Valuation, m: Message) -> list[Conjunct]:
+                constraint = second(p, m)
+                return _conjoin((first(p, m), constraint)) + [c | {(p, ref)} for c in constraint]
+
+            return release
         raise ValueError(f"no transition rule for {f!r}")
 
     def to_dot(self) -> str:

@@ -387,6 +387,26 @@ class TestDelta:
             }
         )
 
+    def test_domains_are_those_of_the_message_passed(self):
+        # The lasso walk alternates messages, and a message equal to an
+        # earlier one may be another object: whatever the automaton
+        # remembers between calls, each delta must equal a fresh one's.
+        phi = to_nnf(parse('G forall x in "/m/a" : exists y in "/m/b" : (x = y | X x = "q")'))
+        first = parse_message('{"m":{"a":["a","b"],"b":["a","q"]}}')
+        second = parse_message('{"m":{"a":"c","b":["c","d"]}}')
+        copy = parse_message('{"m":{"a":["a","b"],"b":["a","q"]}}')
+        assert copy == first and copy is not first
+        auto = build_automaton(phi)
+        frontier = {auto.initial}
+        for message in (first, second, first, copy):
+            rewrites = [auto.delta(valuation, state, message) for valuation, state in frontier]
+            fresh = [
+                build_automaton(phi).delta(valuation, state, message) for valuation, state in frontier
+            ]
+            assert rewrites == fresh
+            frontier = {o for dnf in rewrites for conjunct in dnf for o in conjunct}
+        assert len(frontier) > 1
+
     def test_delta_is_pure(self):
         phi = to_nnf(parse('G exists x in "/m/a" : x = "a"'))
         auto = build_automaton(phi)

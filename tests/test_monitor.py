@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -6,7 +8,7 @@ from hypothesis import given
 import strategies
 from foltl.acceptance import lasso_accepts, oracle_eval
 from foltl.automaton import EMPTY_VALUATION, FALSE_DNF, TRUE_DNF, build_automaton
-from foltl.events import load_trace
+from foltl.events import load_trace, message_from_obj
 from foltl.formula import parse, to_nnf
 from foltl.gen import GenBounds, case_rng, gen_formula, gen_lasso
 from foltl.monitor import (
@@ -75,6 +77,37 @@ class TestConfigurations:
         for message in MIXED:
             assert step(auto, Configuration(Disjunction(TRUE_DNF)), message).dnf.conjuncts == TRUE_DNF
             assert step(auto, Configuration(Disjunction(FALSE_DNF)), message).dnf.conjuncts == FALSE_DNF
+
+    def test_memory_held_does_not_grow_with_distinct_messages(self):
+        # Each message requests a fresh id and acknowledges the one
+        # requested five messages earlier, so five requests stay pending.
+        # Nothing a step caches may outlive the next message: 2000 more
+        # distinct ids must not leave more memory held than 200 did.
+        auto = build_automaton(to_nnf(parse(
+            '(G forall x in "/m/req" : F exists y in "/m/ack" : y = x) '
+            '& G forall z in "/m/a" : z != "c"'
+        )))
+
+        def messages(start, stop):
+            for i in range(start, stop):
+                body = {"req": f"{i:08x}", "a": "b"}
+                if i >= 5:
+                    body["ack"] = f"{i - 5:08x}"
+                yield message_from_obj({"m": body})
+
+        config = initial_configuration(auto)
+        held = []
+        tracemalloc.start()
+        try:
+            for start, stop in ((0, 200), (200, 2200)):
+                for message in messages(start, stop):
+                    config = step(auto, config, message)
+                gc.collect()
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert verdict(config) is Verdict.INCONCLUSIVE
+        assert abs(held[1] - held[0]) < 64 * 1024
 
     def test_verdict_string_form(self):
         assert str(Verdict.TRUE) == "TRUE"
