@@ -16,10 +16,10 @@ a reachable obligation's valuation binds its state's free variables
 and none that the state quantifies again.
 
 What a state does on a message is fixed when the automaton is built,
-so each state is compiled, on its first transition, into a rule that
-closes over its operands' rules, successor references, quantified
-variables and paths; a transition hashes no formula.  Each path's
-domain is extracted once per message.
+so each state is compiled once, when a transition first needs it, into
+a rule that closes over its operands' rules, successor references,
+quantified variables and paths; a transition hashes no formula.  Each
+path's domain is extracted once per message.
 """
 from __future__ import annotations
 
@@ -140,7 +140,7 @@ class Automaton:
     followed by the TOP and BOTTOM pits; state references are indices
     into it.  Construction is pure and the table never changes.  Two
     caches never show in what delta returns: each state's rule, kept
-    from its first delta, and the domains of the last message, kept in
+    from its first use, and the domains of the last message, kept in
     one tuple with it, so that threads never mix two messages' domains.
     """
 
@@ -168,15 +168,11 @@ class Automaton:
 
         The valuation binds the state's free variables, as it does in
         every obligation reachable from the initial one: the source is
-        well formed, so no quantifier rebinds a variable.  Pure in all
-        three arguments, as messages are never mutated.  Each path's
-        domain is extracted once per message object, so callers that
-        rewrite many obligations against one message pass that object.
+        well formed, so no quantifier rebinds a variable.  Pure provided
+        no message is mutated once delta has seen it, as each path's
+        domain is extracted once per message object.
         """
-        rule = self._rules[state]
-        if rule is None:
-            rule = self._rules[state] = self._compile(self.states[state])
-        return frozenset(_normalize(rule(valuation, message)))
+        return frozenset(_normalize((self._rules[state] or self._rule(state))(valuation, message)))
 
     def _domain(self, message: Message, path: Path) -> frozenset[str]:
         last, domains = self._last
@@ -188,10 +184,17 @@ class Automaton:
             domain = domains[path] = dom(message, path)
         return domain
 
-    def _compile(self, f: Formula):
-        """The formula's rule, (valuation, message) -> conjuncts, over its operands' rules."""
-        # Dispatch on the exact type: a class pattern in a match costs
-        # several times as much, and every node is compiled once per state.
+    def _rule(self, ref: int):
+        """The state's rule, compiled on first use over its operands' rules."""
+        rule = self._rules[ref]
+        if rule is None:
+            rule = self._rules[ref] = self._compile(ref)
+        return rule
+
+    def _compile(self, ref: int):
+        """A rule (valuation, message) -> conjuncts; operand refs are hashed here only."""
+        f = self.states[ref]
+        # Exact-type dispatch: class patterns in a match cost half as much again.
         kind = type(f)
         if kind is Eq or kind is Neq:
             left, right = f
@@ -201,22 +204,16 @@ class Automaton:
                     _HOLDS if (value_of(p, left) == value_of(p, right)) == same else _FAILS
                 )
             return _always if (left.value == right.value) == same else _never
-        if kind is Or or kind is And:
-            first, second = map(self._compile, f)
-            if kind is Or:
-                return lambda p, m: first(p, m) + second(p, m)
-            return lambda p, m: _conjoin((first(p, m), second(p, m)))
         if kind is Exists or kind is Forall:
             var, path, body = f
-            body_rule = None
+            body_ref = self._refs[body]
 
             def bodies(p: Valuation, m: Message) -> list[list[Conjunct]]:
-                # Compiled on the first value bound: over domains that
-                # stay empty the body never runs.
-                nonlocal body_rule
+                # The body is needed, and so compiled, once a value binds.
                 values = self._domain(m, path)
-                if values and body_rule is None:
-                    body_rule = self._compile(body)
+                if not values:
+                    return []
+                body_rule = self._rules[body_ref] or self._rule(body_ref)
                 return [body_rule(p | {(var, value)}, m) for value in values]
 
             if kind is Exists:
@@ -225,20 +222,22 @@ class Automaton:
         if kind is Next:
             later = self._refs[f.body]
             return lambda p, m: [frozenset({(p, later)})]
-        if kind is Until or kind is Release:
-            first, second = map(self._compile, f)
-            ref = self._refs[f]
-            # Conjoining a single conjunct adds its obligation to each
-            # conjunct; delta's normalization removes what that subsumes.
-            if kind is Until:
-                return lambda p, m: second(p, m) + [c | {(p, ref)} for c in first(p, m)]
+        # The closure holds normal-form kinds only, so what is left is binary.
+        first, second = (self._rule(self._refs[g]) for g in f)
+        if kind is Or:
+            return lambda p, m: first(p, m) + second(p, m)
+        if kind is And:
+            return lambda p, m: _conjoin((first(p, m), second(p, m)))
+        # Conjoining a single conjunct adds its obligation to each
+        # conjunct; delta's normalization removes what that subsumes.
+        if kind is Until:
+            return lambda p, m: second(p, m) + [c | {(p, ref)} for c in first(p, m)]
 
-            def release(p: Valuation, m: Message) -> list[Conjunct]:
-                constraint = second(p, m)
-                return _conjoin((first(p, m), constraint)) + [c | {(p, ref)} for c in constraint]
+        def release(p: Valuation, m: Message) -> list[Conjunct]:
+            constraint = second(p, m)
+            return _conjoin((first(p, m), constraint)) + [c | {(p, ref)} for c in constraint]
 
-            return release
-        raise ValueError(f"no transition rule for {f!r}")
+        return release
 
     def to_dot(self) -> str:
         lines = ["digraph automaton {", "  rankdir=LR;", '  entry [shape=point, label=""];']

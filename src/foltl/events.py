@@ -33,7 +33,8 @@ class EmptyLoopError(ValueError):
         super().__init__("lasso loop must hold at least one message")
 
 
-# A decoded JSON object, checked by message_from_obj and never mutated.
+# A decoded JSON object, checked by message_from_obj.  Callers must not
+# mutate one once Automaton.delta has seen it: see there.
 Message = dict[str, object]
 
 

@@ -414,6 +414,22 @@ class TestDelta:
         assert type(first) is frozenset
         assert auto.delta(EMPTY_VALUATION, 0, AB) == first
 
+    def test_each_state_is_compiled_once(self, monkeypatch):
+        # `x = "b"` is an operand of U, of | and of the U under X: one
+        # state, so one rule, which every rule that reads it shares.
+        compiled = []
+        original = Automaton._compile
+        monkeypatch.setattr(
+            Automaton, "_compile", lambda auto, ref: compiled.append(ref) or original(auto, ref)
+        )
+        phi = to_nnf(
+            parse('forall x in "/m/a" : ((x = "a" U x = "b") & (x = "b" | X (x = "a" U x = "b")))')
+        )
+        auto = build_automaton(phi)
+        assert len(_reachable(auto, [AB, AB, AB])) > 2
+        assert sorted(compiled) == sorted(set(compiled))
+        assert auto.states.index(Eq(Var("x"), Const("b"))) in compiled
+
 
 def _reachable(auto, messages):
     """Obligations reached from the initial one along the message list."""
