@@ -2,8 +2,8 @@
 
 States are the subformula closure plus two absorbing pits, TOP and
 BOTTOM; the accepting states are the Release members of the closure
-plus TOP.  Construction checks scoping, then walks the formula once,
-through subformulas, which also numbers the states.  A transition maps
+plus TOP.  One walk of the formula, ensure_well_formed, checks scoping,
+numbers the states and finds those members.  A transition maps
 an obligation (variable valuation, state) and a message to a positive
 boolean combination of successor obligations, built directly in
 disjunctive normal form: a plain frozenset of conjuncts, each a
@@ -36,14 +36,12 @@ from .formula import (
     Next,
     Or,
     Path,
-    Release,
     Term,
     Until,
     Var,
     _quote,
     ensure_well_formed,
     format_formula,
-    subformulas,
 )
 
 
@@ -145,15 +143,12 @@ class Automaton:
     """
 
     def __init__(self, source: Formula):
-        ensure_well_formed(source)
-        self._refs = subformulas(source)
+        self._refs, releases = ensure_well_formed(source, nnf=True)
         self.source = source
         self.states: tuple[Formula | str, ...] = (*self._refs, TOP, BOTTOM)
         self.top = len(self._refs)
         self.bottom = len(self._refs) + 1
-        self.accepting = frozenset(
-            ref for f, ref in self._refs.items() if isinstance(f, Release)
-        ) | {self.top}
+        self.accepting = frozenset(releases) | {self.top}
         # The source is the closure's first member.
         self.initial: Obligation = (EMPTY_VALUATION, 0)
         self._rules: list = [None] * len(self._refs) + [_always, _never]

@@ -11,10 +11,11 @@ namedtuple): immutable, matched by position, hashed in C, and equal
 only to a record of their own kind, so ``Eq(a, b) != Neq(a, b)``.
 
 A node's subformulas are its fields that are formulas.  ``children``
-reads them and is the one structural walk (normal-form test, measures,
-closure, scoping); ``to_nnf`` rebuilds a normal-form kind from them.
-``format_formula`` matches each node kind explicitly, because it states
-its meaning.  The lexer sorts the matches of one regular expression.
+reads them for the measures, and ``to_nnf`` rebuilds a normal-form kind
+from them.  ``ensure_well_formed`` is the one walk that checks scoping
+and numbers the closure, dispatched on exact type.  ``format_formula``
+matches each node kind explicitly, because it states its meaning.  The
+lexer sorts the matches of one regular expression.
 """
 from __future__ import annotations
 
@@ -415,22 +416,18 @@ def _nnf(f: Formula, negated: bool) -> Formula:
 
 
 def children(formula: Formula) -> tuple[Formula, ...]:
-    """Direct subformulas, left to right; () for atoms and literals.
-
-    The one structural walk, read from the node's fields: every pass
-    that needs only the shape of the tree walks it through here.
-    """
+    """Direct subformulas, left to right, read from the node's fields;
+    () for atoms and literals.  The measures below walk through here."""
     if not isinstance(formula, Formula):
         raise TypeError(f"not a formula: {formula!r}")
     return tuple([x for x in formula if isinstance(x, Formula)])
 
 
-_NNF_KINDS = tuple(_DUAL)
 _TEMPORAL_KINDS = (Next, Finally, Globally, Until, Release)
 
 
 def is_nnf(formula: Formula) -> bool:
-    return isinstance(formula, _NNF_KINDS) and all(map(is_nnf, children(formula)))
+    return type(formula) in _DUAL and all(map(is_nnf, children(formula)))
 
 
 def temporal_depth(formula: Formula) -> int:
@@ -446,42 +443,49 @@ def node_count(formula: Formula) -> int:
 
 
 def subformulas(formula: Formula) -> dict[Formula, int]:
-    """Subformula closure of a normal-form formula, numbered in first-visit order.
+    """The closure ensure_well_formed numbers, with no scope check: an open member has one too."""
+    return ensure_well_formed(formula, None, nnf=True)[0]
 
-    The formula itself is member 0.  Binary connectives and U, R
-    contribute both operands, X and the quantifiers contribute the body,
-    and equality atoms only themselves.  Structurally equal subtrees are
-    collapsed, so the result can be shorter than the node count.
+
+def ensure_well_formed(
+    formula: Formula, scope: frozenset[str] | None = frozenset(), nnf: bool = False
+) -> tuple[dict[Formula, int], list[int]]:
+    """Raise unless every variable is bound exactly once on its branch;
+    return the subformula closure and the numbers of its Release members.
+
+    One walk reports scope errors in text order and numbers the closure
+    in first-visit order: the formula is member 0, atoms add only
+    themselves, the other kinds their operands.  Equal subtrees share a
+    number, but each is visited: it may sit in another scope.  A scope
+    of None checks nothing.  With nnf, a kind outside normal form raises
+    ValueError, unless a scope error comes first.
     """
-    seen: dict[Formula, int] = {}
+    members: dict[Formula, int] = {}
+    releases: list[int] = []
+    lowered: list[Formula] = []
 
-    def walk(f: Formula) -> None:
-        if f in seen:
-            return
-        if not isinstance(f, _NNF_KINDS):
-            raise ValueError("subformula closure is defined on negation normal form only")
-        seen[f] = len(seen)
-        for child in children(f):
-            walk(child)
-
-    walk(formula)
-    return seen
-
-
-def ensure_well_formed(formula: Formula, scope: frozenset[str] = frozenset()) -> None:
-    """Raise unless every variable is bound exactly once on its branch.
-
-    Violations are reported in text order: a quantifier before its body,
-    a left operand before the right one.
-    """
-    match formula:
-        case Eq(left, right) | Neq(left, right):
-            for term in (left, right):
-                if isinstance(term, Var) and term.name not in scope:
+    def walk(f: Formula, scope: frozenset[str] | None) -> None:
+        ref = members.setdefault(f, len(members))
+        kind = type(f)
+        if kind is Eq or kind is Neq:
+            for term in f:
+                if type(term) is Var and scope is not None and term.name not in scope:
                     raise UnboundVariableError(term.name)
-        case Exists(var, _, _) | Forall(var, _, _):
-            if var in scope:
+            return
+        if kind is Exists or kind is Forall:
+            var, _, body = f
+            if scope is not None and var in scope:
                 raise ShadowedVariableError(var)
-            scope = scope | {var}
-    for child in children(formula):
-        ensure_well_formed(child, scope)
+            return walk(body, None if scope is None else scope | {var})
+        if kind is Release:
+            releases.append(ref)
+        elif kind not in _DUAL:  # sugar, or a TypeError from children
+            lowered.append(f)
+            f = children(f)
+        for child in f:
+            walk(child, scope)
+
+    walk(formula, scope)
+    if nnf and lowered:
+        raise ValueError("subformula closure is defined on negation normal form only")
+    return members, releases

@@ -52,7 +52,7 @@ def step(automaton: Automaton, configuration: Configuration, message: Message) -
     """Consume one message.
 
     Each obligation is rewritten once per message, however many
-    conjuncts hold it.  Within a conjunct the rewrites are conjoined:
+    conjuncts hold it.  A conjunct's rewrites are all made, then conjoined:
     rewrites with a single conjunct, the usual case for a pending
     backlog, merge by plain union and only the rest distribute.  Across
     conjuncts the results are disjoined and reduced to an antichain.
@@ -70,7 +70,7 @@ def step(automaton: Automaton, configuration: Configuration, message: Message) -
         return hit
 
     branches = [
-        dnf_and(rewritten(obligation) for obligation in conjunct)
+        dnf_and([rewritten(obligation) for obligation in conjunct])
         for conjunct in configuration.dnf.conjuncts
     ]
     return Configuration(Disjunction(dnf_or(branches)))

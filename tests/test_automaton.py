@@ -28,6 +28,7 @@ from foltl.formula import (
     Next,
     Not,
     Or,
+    Parser,
     Path,
     Release,
     ShadowedVariableError,
@@ -54,6 +55,10 @@ AB = parse_message('{"m":{"a":["a","b"]}}')
 FREE_X = Eq(Var("x"), Const("a"))
 REBOUND = Exists("x", Path(("m", "a")), Exists("x", Path(("m", "a")), FREE_X))
 LOOP_AB = LassoTrace(prefix=(), loop=(AB,))
+# An equal subtree in two scopes: x is free in neither, bound twice in the second.
+INNER = Exists("x", Path(("m", "a")), FREE_X)
+SHADOWED = And(INNER, Exists("x", Path(("m", "b")), INNER))
+SHADOWED_SOURCE = '(exists x in "/m/a" : x = "a") & exists x in "/m/b" : exists x in "/m/a" : x = "a"'
 
 
 class TestValuation:
@@ -272,6 +277,35 @@ class TestConstruction:
         assert auto.state_label(auto.top) == "TOP"
         assert auto.state_label(auto.bottom) == "BOTTOM"
         assert auto.state_label(0) == '"a" = "a"'
+
+    def test_scope_error_wins_over_normal_form(self):
+        # The unbound x sits right of the sugar, and still decides.
+        with pytest.raises(UnboundVariableError):
+            Automaton(And(Not(A), FREE_X))
+
+    def test_normal_form_error_is_a_plain_value_error(self):
+        with pytest.raises(ValueError) as err:
+            Automaton(Release(A, Not(B)))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "subformula closure is defined on negation normal form only"
+
+    def test_scope_errors_in_text_order(self):
+        with pytest.raises(UnboundVariableError):
+            Automaton(And(FREE_X, REBOUND))
+        with pytest.raises(ShadowedVariableError):
+            Automaton(And(REBOUND, FREE_X))
+
+    def test_equal_subtree_is_checked_in_each_scope(self):
+        # Only the second occurrence of INNER rebinds x.
+        with pytest.raises(ShadowedVariableError) as err:
+            Automaton(SHADOWED)
+        assert err.value.name == "x"
+        with pytest.raises(ShadowedVariableError):
+            oracle_eval(EMPTY_VALUATION, SHADOWED, LOOP_AB)
+        assert Parser(SHADOWED_SOURCE).parse() == SHADOWED
+        with pytest.raises(ShadowedVariableError):
+            parse(SHADOWED_SOURCE)
+        assert Automaton(And(INNER, Exists("y", Path(("m", "b")), INNER))).states[1] == INNER
 
     @given(strategies.nnf_formulas())
     def test_state_count_bound(self, formula):

@@ -68,3 +68,23 @@ def test_seed_42_delta_calls_are_unchanged():
         digest.update(f"{index} {accepted} {len(lines)}\n".encode())
         digest.update("".join(line + "\n" for line in sorted(lines)).encode())
     assert digest.hexdigest() == DELTA_SHA256
+
+
+# sha256 over the whole state table of every automaton on cases 0 to
+# 999: per case, every state's label in order and the sorted accepting
+# refs.  The delta digest covers only the states its cases visit.
+STATE_TABLE_SHA256 = {
+    (4, 3): "d33695d512306c3ea1cdc935d0e5840a84417298598dfd1c932215d1a490dd04",
+    (3, 2): "547815d82aa859a2836bcabe2d0efeb81e8e472a9817e522f5c6692f33905397",
+}
+
+
+@pytest.mark.parametrize("depth, quantifiers", sorted(STATE_TABLE_SHA256))
+def test_seed_42_state_tables_are_unchanged(depth, quantifiers):
+    bounds = GenBounds(max_depth=depth, max_quantifiers=quantifiers)
+    digest = hashlib.sha256()
+    for index in range(1000):
+        automaton = build_automaton(to_nnf(gen_formula(case_rng(42, "case", index), bounds)))
+        labels = [automaton.state_label(ref) for ref in range(len(automaton.states))]
+        digest.update(f"{json.dumps([index, labels, sorted(automaton.accepting)])}\n".encode())
+    assert digest.hexdigest() == STATE_TABLE_SHA256[depth, quantifiers]

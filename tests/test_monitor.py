@@ -1,5 +1,9 @@
 import gc
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -113,6 +117,57 @@ class TestConfigurations:
         assert str(Verdict.TRUE) == "TRUE"
         assert str(Verdict.FALSE) == "FALSE"
         assert str(Verdict.INCONCLUSIVE) == "INCONCLUSIVE"
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# Thirty requests stay pending, then a message carries the forbidden
+# "c": its conjunct is refuted by one obligation among thirty-two.
+_COUNT_DELTA_CALLS = """
+from foltl.automaton import Automaton
+from foltl.events import message_from_obj
+from foltl.formula import parse, to_nnf
+from foltl.monitor import initial_configuration, step, verdict
+
+calls = 0
+delta = Automaton.delta
+
+
+def counting(self, *args):
+    global calls
+    calls += 1
+    return delta(self, *args)
+
+
+Automaton.delta = counting
+auto = Automaton(to_nnf(parse(
+    '(G forall x in "/m/req" : F exists y in "/m/ack" : y = x) '
+    '& G forall z in "/m/a" : z != "c"'
+)))
+config = initial_configuration(auto)
+for i in range(31):
+    config = step(auto, config, message_from_obj({"m": {"req": f"{i:08x}", "a": "c" if i == 30 else "b"}}))
+print(calls, verdict(config))
+"""
+
+
+def _delta_calls(hash_seed):
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNT_DELTA_CALLS],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed),
+        check=True,
+    )
+    return done.stdout
+
+
+def test_delta_calls_do_not_depend_on_the_hash_seed():
+    # A step that stopped conjoining at the first refuted obligation
+    # would rewrite as many of the others as the set order put first.
+    first = _delta_calls("0")
+    assert first.endswith(" FALSE\n")
+    assert _delta_calls("1") == first
 
 
 class TestProperties:
