@@ -12,10 +12,12 @@ only to a record of their own kind, so ``Eq(a, b) != Neq(a, b)``.
 
 A node's subformulas are its fields that are formulas.  ``children``
 reads them for the measures, and ``to_nnf`` rebuilds a normal-form kind
-from them.  ``ensure_well_formed`` is the one walk that checks scoping
-and numbers the closure, dispatched on exact type.  ``format_formula``
-matches each node kind explicitly, because it states its meaning.  The
-lexer sorts the matches of one regular expression.
+from them.  ``to_nnf`` expands each abbreviation from one table, stated
+in positive polarity only, so De Morgan lives in ``_DUAL`` alone.
+``ensure_well_formed`` is the one walk that checks scoping and numbers
+the closure, dispatched on exact type.  ``format_formula`` matches each
+node kind explicitly, because it states its meaning.  The lexer sorts
+the matches of one regular expression.
 """
 from __future__ import annotations
 
@@ -374,6 +376,16 @@ _DUAL = {
     Until: Release, Release: Until, Exists: Forall, Forall: Exists,
 }
 
+# Each abbreviation and what it stands for, stated once and positively:
+# a negated one is expanded first and its expansion negated by _nnf.
+_LOWERED = {
+    TrueLit: lambda: TRUE_ATOM,
+    FalseLit: lambda: FALSE_ATOM,
+    Implies: lambda left, right: Or(Not(left), right),
+    Finally: lambda body: Until(TRUE_ATOM, body),
+    Globally: lambda body: Release(FALSE_ATOM, body),
+}
+
 
 def to_nnf(formula: Formula) -> Formula:
     """Push negations to atoms and lower F, G, ->, true, false.
@@ -391,28 +403,21 @@ def negate(formula: Formula) -> Formula:
 
 
 def _nnf(f: Formula, negated: bool) -> Formula:
-    """The normal form of f, or of its negation: a normal-form kind is
-    rebuilt from its fields, a negated one as its _DUAL; others are lowered."""
-    dual = _DUAL.get(type(f))
-    if dual is not None:
-        kind = dual if negated else type(f)
-        return kind(*[_nnf(x, negated) if isinstance(x, Formula) else x for x in f])
-    match f:
-        case Not(body):
-            return _nnf(body, not negated)
-        case TrueLit():
-            return FALSE_ATOM if negated else TRUE_ATOM
-        case FalseLit():
-            return TRUE_ATOM if negated else FALSE_ATOM
-        case Implies(left, right):
-            return (And if negated else Or)(_nnf(left, not negated), _nnf(right, negated))
-        case Finally(body):
-            body = _nnf(body, negated)
-            return Release(FALSE_ATOM, body) if negated else Until(TRUE_ATOM, body)
-        case Globally(body):
-            body = _nnf(body, negated)
-            return Until(TRUE_ATOM, body) if negated else Release(FALSE_ATOM, body)
-    raise TypeError(f"not a formula: {f!r}")
+    """The normal form of f, or of its negation, on exact type: Not flips
+    the polarity, _LOWERED expands an abbreviation, an atom is itself or
+    its _DUAL, and other kinds are rebuilt from their fields, as _DUAL if negated."""
+    kind = type(f)
+    dual = _DUAL.get(kind)
+    if dual is None:
+        if kind is Not:
+            return _nnf(f.body, not negated)
+        if kind not in _LOWERED:
+            raise TypeError(f"not a formula: {f!r}")
+        return _nnf(_LOWERED[kind](*f), negated)
+    if kind is Eq or kind is Neq:
+        return dual(*f) if negated else f
+    kind = dual if negated else kind
+    return kind(*[_nnf(x, negated) if isinstance(x, Formula) else x for x in f])
 
 
 def children(formula: Formula) -> tuple[Formula, ...]:

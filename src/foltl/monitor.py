@@ -14,8 +14,6 @@ from enum import Enum
 
 from .automaton import (
     Automaton,
-    Dnf,
-    Obligation,
     build_automaton,
     dnf_and,
     dnf_or,
@@ -51,28 +49,17 @@ def initial_configuration(automaton: Automaton) -> Configuration:
 def step(automaton: Automaton, configuration: Configuration, message: Message) -> Configuration:
     """Consume one message.
 
-    Each obligation is rewritten once per message, however many
-    conjuncts hold it.  A conjunct's rewrites are all made, then conjoined:
-    rewrites with a single conjunct, the usual case for a pending
-    backlog, merge by plain union and only the rest distribute.  Across
-    conjuncts the results are disjoined and reduced to an antichain.
-    The decided configurations are fixed points: an empty conjunct
-    stays an empty conjunct and an empty disjunction stays empty.
+    Each distinct obligation of the configuration is rewritten once, into
+    one table, and every conjunct is then the conjunction of its rows:
+    rows with a single conjunct, the usual case for a pending backlog,
+    merge by plain union and only the rest distribute.  Across conjuncts
+    the results are disjoined and reduced to an antichain.  The decided
+    configurations are fixed points: an empty conjunct stays an empty
+    conjunct and an empty disjunction stays empty.
     """
-    cache: dict[Obligation, Dnf] = {}
-
-    def rewritten(obligation: Obligation) -> Dnf:
-        hit = cache.get(obligation)
-        if hit is None:
-            valuation, state = obligation
-            hit = automaton.delta(valuation, state, message)
-            cache[obligation] = hit
-        return hit
-
-    branches = [
-        dnf_and([rewritten(obligation) for obligation in conjunct])
-        for conjunct in configuration.dnf.conjuncts
-    ]
+    conjuncts = configuration.dnf.conjuncts
+    rewrites = {o: automaton.delta(o[0], o[1], message) for o in frozenset().union(*conjuncts)}
+    branches = [dnf_and([rewrites[o] for o in conjunct]) for conjunct in conjuncts]
     return Configuration(Disjunction(dnf_or(branches)))
 
 

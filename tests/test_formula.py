@@ -3,6 +3,7 @@ from hypothesis import given
 
 import strategies
 from foltl.acceptance import FuzzCase
+from foltl.automaton import build_automaton
 from foltl.events import EmptyLoopError, LassoTrace, parse_message
 from foltl.formula import (
     FALSE_ATOM,
@@ -378,6 +379,21 @@ class TestNormalForm:
         body = Eq(Var("x"), Const("v"))
         assert to_nnf(Not(Exists("x", path, body))) == Forall("x", path, Neq(Var("x"), Const("v")))
         assert to_nnf(Not(Forall("x", path, body))) == Exists("x", path, Neq(Var("x"), Const("v")))
+
+    def test_rejects_non_formula(self):
+        for value in (Var("x"), "x", 3, Not(Var("x"))):
+            with pytest.raises(TypeError):
+                to_nnf(value)
+            with pytest.raises(TypeError):
+                negate(value)
+
+    def test_non_formula_operand_fails_the_build(self):
+        # to_nnf may return a node with a non-formula operand; building
+        # the automaton from it is what raises.
+        x = Var("x")
+        for node in (Finally(x), Globally(x), Implies(x, A), Implies(A, x), And(A, x), Next(x)):
+            with pytest.raises(TypeError):
+                build_automaton(to_nnf(node))
 
     @given(strategies.formulas())
     def test_output_is_normal_form(self, formula):

@@ -14,8 +14,9 @@ import pytest
 from foltl.acceptance import lasso_accepts
 from foltl.automaton import build_automaton
 from foltl.events import lasso_to_json
-from foltl.formula import format_formula, to_nnf
+from foltl.formula import format_formula, negate, to_nnf
 from foltl.gen import GenBounds, case_rng, gen_formula, gen_lasso
+from foltl.monitor import initial_configuration, step
 
 # sha256 over one "formula lasso" line per case, cases 0 to 999.
 CORPUS_SHA256 = {
@@ -88,3 +89,43 @@ def test_seed_42_state_tables_are_unchanged(depth, quantifiers):
         labels = [automaton.state_label(ref) for ref in range(len(automaton.states))]
         digest.update(f"{json.dumps([index, labels, sorted(automaton.accepting)])}\n".encode())
     assert digest.hexdigest() == STATE_TABLE_SHA256[depth, quantifiers]
+
+
+# sha256 over format_formula(to_nnf(f)) and format_formula(negate(f)),
+# one line each per case: d4q3 cases 0 to 999, and 300 cases at bounds
+# whose formulas reach about 60 nodes.
+NNF_SHA256 = {
+    (4, 3, 12, 1000): "e45c69b6d9189e203510e9d4c7eaa3e7013737cc38d001d1d50717fe73e98257",
+    (8, 6, 60, 300): "a61f7de44cffd913348a82ca99bd61dbf5c49b744cec1da900dc9feb3ee4fa5b",
+}
+
+
+@pytest.mark.parametrize("depth, quantifiers, size, count", sorted(NNF_SHA256))
+def test_seed_42_normal_forms_are_unchanged(depth, quantifiers, size, count):
+    bounds = GenBounds(max_depth=depth, max_quantifiers=quantifiers, size_budget=size)
+    digest = hashlib.sha256()
+    for index in range(count):
+        formula = gen_formula(case_rng(42, "case", index), bounds)
+        digest.update(f"{format_formula(to_nnf(formula))}\n{format_formula(negate(formula))}\n".encode())
+    assert digest.hexdigest() == NNF_SHA256[depth, quantifiers, size, count]
+
+
+# sha256 over every monitor configuration on d4q3 cases 0 to 299, one
+# line per message of prefix + loop x 3: its conjuncts, each sorted.
+CONFIGURATION_SHA256 = "dad7f25da16efdb72aaf772b7c4e13d70372098cec9ddeabc37f1fef596f7881"
+
+
+def test_seed_42_monitor_configurations_are_unchanged():
+    bounds = GenBounds(max_depth=4, max_quantifiers=3)
+    digest = hashlib.sha256()
+    for index in range(300):
+        rng = case_rng(42, "case", index)
+        formula = gen_formula(rng, bounds)
+        trace = gen_lasso(rng, bounds)
+        automaton = build_automaton(to_nnf(formula))
+        configuration = initial_configuration(automaton)
+        for message in trace.prefix + trace.loop * 3:
+            configuration = step(automaton, configuration, message)
+            dnf = sorted(sorted(map(_canonical_obligation, c)) for c in configuration.dnf.conjuncts)
+            digest.update(f"{json.dumps([index, dnf])}\n".encode())
+    assert digest.hexdigest() == CONFIGURATION_SHA256

@@ -13,7 +13,7 @@ import strategies
 from foltl.acceptance import lasso_accepts, oracle_eval
 from foltl.automaton import EMPTY_VALUATION, FALSE_DNF, TRUE_DNF, build_automaton
 from foltl.events import load_trace, message_from_obj
-from foltl.formula import parse, to_nnf
+from foltl.formula import negate, parse, to_nnf
 from foltl.gen import GenBounds, case_rng, gen_formula, gen_lasso
 from foltl.monitor import (
     Configuration,
@@ -126,7 +126,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 _COUNT_DELTA_CALLS = """
 from foltl.automaton import Automaton
 from foltl.events import message_from_obj
-from foltl.formula import parse, to_nnf
+from foltl.formula import negate, parse, to_nnf
 from foltl.monitor import initial_configuration, step, verdict
 
 calls = 0
@@ -221,3 +221,22 @@ class TestLassoCrossCheck:
             assert lasso_accepts(build_automaton(to_nnf(formula)), trace) is holds, index
             assert oracle_eval(EMPTY_VALUATION, formula, trace) is holds, index
         assert decided >= 200
+
+
+class TestNegationDuality:
+    """A metamorphic relation, needing no oracle: at every position the
+    verdict on the negation is the verdict on the formula with TRUE and
+    FALSE swapped."""
+
+    SWAP = {Verdict.TRUE: Verdict.FALSE, Verdict.FALSE: Verdict.TRUE, Verdict.INCONCLUSIVE: Verdict.INCONCLUSIVE}
+
+    @pytest.mark.parametrize("depth,quantifiers", [(3, 2), (4, 3)])
+    def test_negation_swaps_every_verdict(self, depth, quantifiers):
+        bounds = GenBounds(max_depth=depth, max_quantifiers=quantifiers)
+        for index in range(300):
+            rng = case_rng(42, "case", index)
+            formula = gen_formula(rng, bounds)
+            lasso = gen_lasso(rng, bounds)
+            trace = lasso.prefix + lasso.loop * 3
+            expected = [self.SWAP[v] for v in monitor_trace(formula, trace)]
+            assert monitor_trace(negate(formula), trace) == expected, index
