@@ -14,6 +14,7 @@ import argparse
 import sys
 import time
 
+from foltl import cli
 from foltl.acceptance import fuzz_compare
 from foltl.gen import GenBounds
 
@@ -43,9 +44,9 @@ def run_cell(seed: int, count: int, depth: int, quantifiers: int) -> tuple[bool,
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--count", type=int, default=100, help="cases per cell")
-    parser.add_argument("--depths", type=int, nargs="+", default=[1, 2, 3, 4])
-    parser.add_argument("--quants", type=int, nargs="+", default=[0, 1, 2, 3])
+    parser.add_argument("--count", type=cli.count, default=100, help="cases per cell")
+    parser.add_argument("--depths", type=cli.count, nargs="+", default=[1, 2, 3, 4])
+    parser.add_argument("--quants", type=cli.count, nargs="+", default=[0, 1, 2, 3])
     args = parser.parse_args()
 
     print(HEADER)

@@ -39,7 +39,6 @@ from .formula import (
     format_formula,
     negate,
     parse,
-    subformulas,
     temporal_depth,
     to_nnf,
 )

@@ -4,8 +4,9 @@ oracle_eval decides satisfaction by brute force straight from the
 temporal unfolding laws: per subformula and valuation it computes the
 set of canonical positions where the formula holds, taking Until as a
 least and Release as a greatest fixpoint over that finite position
-space.  It never touches the automaton machinery: it shares only
-value_of, the lookup of a term's value under a valuation.
+space.  It shares with the automaton route only the input layer:
+value_of, ensure_well_formed, dom, canonical_position and
+position_message.  It never calls the automaton machinery or to_nnf.
 
 lasso_accepts decides acceptance of the compiled automaton on
 (canonical position, obligation) pairs.  The automaton is very weak,
@@ -13,9 +14,9 @@ so a run that holds an obligation forever holds it in one state, and
 one memoized walk per obligation along the lasso decides each pair
 once.
 
-fuzz_compare drives both over a seeded random corpus and returns one
-FuzzCase per case; the CLI's fuzz command reports them.  Agreement
-across the corpus is the package's main self-check.
+fuzz_compare drives both over a seeded corpus, the oracle on each
+formula as generated, and returns one FuzzCase per case for the CLI.
+Agreement across the corpus is the package's main self-check.
 """
 from __future__ import annotations
 
@@ -244,8 +245,7 @@ def fuzz_compare(
         rng = case_rng(seed, "case", index)
         formula = gen_formula(rng, bounds)
         trace = gen_lasso(rng, bounds)
-        normal = to_nnf(formula)
-        automaton = build_automaton(normal)
+        automaton = build_automaton(to_nnf(formula))
         automaton_result = oracle_result = None
         limit_states = 0
         try:
@@ -253,7 +253,7 @@ def fuzz_compare(
         except ResourceLimitError as err:
             limit_states = err.states
         else:
-            oracle_result = oracle_eval(EMPTY_VALUATION, normal, trace, 0)
+            oracle_result = oracle_eval(EMPTY_VALUATION, formula, trace, 0)
         cases.append(
             FuzzCase(
                 index=index,

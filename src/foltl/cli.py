@@ -110,7 +110,7 @@ def cmd_accept(args) -> ExitStatus:
 
 def cmd_oracle(args) -> ExitStatus:
     # The semantics-direct route; takes the formula as written, without
-    # normal-form rewriting, so it shares nothing with cmd_accept.
+    # normal-form rewriting: it shares only the input layer with cmd_accept.
     holds = oracle_eval(EMPTY_VALUATION, load_formula(args.formula), _load_lasso_file(args.lasso))
     print(f"RESULT {'TRUE' if holds else 'FALSE'}")
     return ExitStatus.TRUE if holds else ExitStatus.FALSE

@@ -431,10 +431,6 @@ def children(formula: Formula) -> tuple[Formula, ...]:
 _TEMPORAL_KINDS = (Next, Finally, Globally, Until, Release)
 
 
-def is_nnf(formula: Formula) -> bool:
-    return type(formula) in _DUAL and all(map(is_nnf, children(formula)))
-
-
 def temporal_depth(formula: Formula) -> int:
     """Largest number of temporal operators on any root-to-leaf branch."""
     below = max(map(temporal_depth, children(formula)), default=0)
@@ -447,13 +443,8 @@ def node_count(formula: Formula) -> int:
     return 1 + sum(map(node_count, children(formula)))
 
 
-def subformulas(formula: Formula) -> dict[Formula, int]:
-    """The closure ensure_well_formed numbers, with no scope check: an open member has one too."""
-    return ensure_well_formed(formula, None, nnf=True)[0]
-
-
 def ensure_well_formed(
-    formula: Formula, scope: frozenset[str] | None = frozenset(), nnf: bool = False
+    formula: Formula, scope: frozenset[str] = frozenset(), nnf: bool = False
 ) -> tuple[dict[Formula, int], list[int]]:
     """Raise unless every variable is bound exactly once on its branch;
     return the subformula closure and the numbers of its Release members.
@@ -461,27 +452,27 @@ def ensure_well_formed(
     One walk reports scope errors in text order and numbers the closure
     in first-visit order: the formula is member 0, atoms add only
     themselves, the other kinds their operands.  Equal subtrees share a
-    number, but each is visited: it may sit in another scope.  A scope
-    of None checks nothing.  With nnf, a kind outside normal form raises
-    ValueError, unless a scope error comes first.
+    number, but each is visited: it may sit in another scope.  With nnf,
+    a kind outside normal form raises ValueError, unless a scope error
+    comes first.
     """
     members: dict[Formula, int] = {}
     releases: list[int] = []
     lowered: list[Formula] = []
 
-    def walk(f: Formula, scope: frozenset[str] | None) -> None:
+    def walk(f: Formula, scope: frozenset[str]) -> None:
         ref = members.setdefault(f, len(members))
         kind = type(f)
         if kind is Eq or kind is Neq:
             for term in f:
-                if type(term) is Var and scope is not None and term.name not in scope:
+                if type(term) is Var and term.name not in scope:
                     raise UnboundVariableError(term.name)
             return
         if kind is Exists or kind is Forall:
             var, _, body = f
-            if scope is not None and var in scope:
+            if var in scope:
                 raise ShadowedVariableError(var)
-            return walk(body, None if scope is None else scope | {var})
+            return walk(body, scope | {var})
         if kind is Release:
             releases.append(ref)
         elif kind not in _DUAL:  # sugar, or a TypeError from children

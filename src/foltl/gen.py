@@ -35,7 +35,7 @@ from .formula import (
     Until,
     Var,
     _TEMPORAL_KINDS,
-    is_nnf,
+    to_nnf,
 )
 
 VALUES = ("a", "b", "c", "d", "e")
@@ -103,7 +103,7 @@ def gen_sugared_formula(rng: random.Random, bounds: GenBounds) -> Formula:
     """A formula guaranteed to use at least one lowered connective."""
     while True:
         formula = gen_formula(rng, bounds)
-        if not is_nnf(formula):
+        if to_nnf(formula) != formula:
             return formula
 
 

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import strategies
 from conftest import DATA
-from foltl import cli
+from foltl import acceptance, cli
+from foltl.acceptance import fuzz_compare, oracle_eval
+from foltl.events import lasso_to_json
 from foltl.cli import ExitStatus, build_parser, load_formula, main
 from foltl.formula import MAX_NESTING, Exists, Release, format_formula, parse
 
@@ -169,6 +171,12 @@ class TestAcceptAndOracle:
         assert main(["accept", "--formula", REQ_ACK, "--lasso", str(lasso)]) == 3
         assert capsys.readouterr().err == "error: line 0: JSON nests too deeply\n"
 
+    def test_prefix_not_an_array_is_an_error_exit(self, tmp_path, capsys):
+        lasso = tmp_path / "object-prefix.lasso.json"
+        lasso.write_text('{"prefix":{},"loop":[{"m":{}}]}')
+        assert main(["accept", "--formula", REQ_ACK, "--lasso", str(lasso)]) == 3
+        assert capsys.readouterr().err == 'error: line 0: "prefix" and "loop" must be arrays of messages\n'
+
     def test_oracle_out_of_memory_is_an_error_exit(self, monkeypatch, capsys):
         def exhausted(*args):
             raise MemoryError
@@ -234,6 +242,19 @@ class TestFuzz:
         stderr_lines = captured.err.splitlines()
         assert stderr_lines[0].startswith("STATES min=")
         assert stderr_lines[1].startswith("TIME total=")
+
+    def test_disagreement_prints_fail_lines_and_exits_one(self, monkeypatch, capsys):
+        cases = fuzz_compare(42, 5)
+        # An oracle that answers every case wrongly.
+        monkeypatch.setattr(acceptance, "oracle_eval", lambda *args: not oracle_eval(*args))
+        assert main(["fuzz", "--seed", "42", "--count", "5"]) == 1
+        *fails, agree = capsys.readouterr().out.splitlines()
+        assert fails == [
+            f"FAIL {case.index} {format_formula(case.formula)} {lasso_to_json(case.trace)}"
+            f" automaton={str(case.automaton_result).lower()} oracle={str(not case.oracle_result).lower()}"
+            for case in cases
+        ]
+        assert agree == "AGREE 0/5"
 
     def test_case_over_the_state_limit_is_reported_and_the_corpus_finishes(self, capsys):
         argv = ["fuzz", "--seed", "42", "--count", "200", "--max-depth", "4", "--max-quant", "3"]

@@ -137,6 +137,15 @@ class TestIngestion:
         assert err.value.line == 5
         assert "nests too deeply" in str(err.value)
 
+    def test_too_deep_decoded_object_is_malformed(self):
+        # Built by hand, past what json.loads would decode.
+        obj = "x"
+        for _ in range(5000):
+            obj = {"m": obj}
+        with pytest.raises(MalformedInputError) as err:
+            message_from_obj(obj, line=2)
+        assert str(err.value) == "line 2: JSON nests too deeply"
+
     def test_a_message_is_the_checked_object_itself(self):
         obj = json.loads(STOCK_JSON)
         assert message_from_obj(obj) is obj

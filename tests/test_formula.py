@@ -34,11 +34,9 @@ from foltl.formula import (
     children,
     ensure_well_formed,
     format_formula,
-    is_nnf,
     negate,
     node_count,
     parse,
-    subformulas,
     temporal_depth,
     to_nnf,
 )
@@ -397,11 +395,19 @@ class TestNormalForm:
 
     @given(strategies.formulas())
     def test_output_is_normal_form(self, formula):
-        assert is_nnf(to_nnf(formula))
+        # Building the automaton raises on any kind outside normal form.
+        build_automaton(to_nnf(formula))
 
     @given(strategies.formulas())
     def test_normal_form_is_the_fixed_point_of_lowering(self, formula):
-        assert is_nnf(formula) == (to_nnf(formula) == formula)
+        try:
+            build_automaton(formula)
+        except ValueError as err:
+            assert type(err) is ValueError
+            assert str(err) == "subformula closure is defined on negation normal form only"
+            assert to_nnf(formula) != formula
+        else:
+            assert to_nnf(formula) == formula
 
     @given(strategies.formulas())
     def test_idempotent(self, formula):
@@ -445,39 +451,41 @@ class TestMeasures:
 
 
 class TestClosure:
+    # The closure is the automaton's state table before its two pits.
     def test_atom_closure_is_itself(self):
-        assert subformulas(A) == {A: 0}
+        assert build_automaton(A).states[:-2] == (A,)
 
     def test_until_closure_in_first_visit_order(self):
         phi = Until(A, B)
-        assert subformulas(phi) == {phi: 0, A: 1, B: 2}
+        assert build_automaton(phi).states[:-2] == (phi, A, B)
 
     def test_release_with_quantifier(self):
         body = Eq(Var("x"), Const("b"))
         exists = Exists("x", Path(("m", "a")), body)
         phi = Release(A, exists)
-        assert subformulas(phi) == {phi: 0, A: 1, exists: 2, body: 3}
+        assert build_automaton(phi).states[:-2] == (phi, A, exists, body)
 
     def test_duplicate_subtrees_collapse(self):
         phi = Or(A, A)
-        assert subformulas(phi) == {phi: 0, A: 1}
+        assert build_automaton(phi).states[:-2] == (phi, A)
 
     def test_requires_normal_form(self):
         with pytest.raises(ValueError):
-            subformulas(Not(A))
+            build_automaton(Not(A))
         with pytest.raises(ValueError):
-            subformulas(Finally(A))
+            build_automaton(Finally(A))
 
     @given(strategies.formulas())
     def test_closure_no_larger_than_node_count(self, formula):
         normal = to_nnf(formula)
-        assert len(subformulas(normal)) <= node_count(normal)
+        assert len(build_automaton(normal).states) - 2 <= node_count(normal)
 
     @given(strategies.nnf_formulas())
     def test_member_closures_are_subsets(self, formula):
-        closure = set(subformulas(formula))
-        for member in closure:
-            assert set(subformulas(member)) <= closure
+        # Closed under children, so each member's own closure is inside it.
+        states = build_automaton(formula).states
+        for member in states[:-2]:
+            assert set(children(member)) <= set(states)
 
 
 class TestWellFormed:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import strategies
+from foltl import acceptance
 from foltl.acceptance import (
     DEFAULT_STATE_LIMIT,
     FuzzCase,
@@ -17,7 +18,7 @@ from foltl.acceptance import (
 from foltl.automaton import EMPTY_VALUATION, build_automaton
 from foltl.cli import fuzz_report_lines, main
 from foltl.events import LassoTrace, load_lasso, parse_message
-from foltl.formula import Not, negate, parse, to_nnf
+from foltl.formula import _LOWERED, Finally, Not, negate, parse, to_nnf
 from foltl.gen import GenBounds
 
 REQ_ACK = 'G forall x in "/m/req" : F exists y in "/m/ack" : y = x'
@@ -185,6 +186,18 @@ class TestFuzz:
         assert fuzz_report_lines(first) == fuzz_report_lines(second)
         assert [c.formula for c in first] == [c.formula for c in second]
         assert [c.trace for c in first] == [c.trace for c in second]
+
+    def test_broken_normal_form_shows_as_disagreement(self, monkeypatch):
+        # The oracle reads each formula as generated, so a lowering that
+        # turns F phi into phi reaches the automaton route alone.
+        def broken(formula):
+            with monkeypatch.context() as patch:
+                patch.setitem(_LOWERED, Finally, lambda body: body)
+                return to_nnf(formula)
+
+        monkeypatch.setattr(acceptance, "to_nnf", broken)
+        cases = fuzz_compare(42, 200)
+        assert any(not case.agree and not case.limit_states for case in cases)
 
     def test_seeds_vary_the_corpus(self):
         first = fuzz_compare(1, 10)

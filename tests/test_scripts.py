@@ -3,6 +3,8 @@ import pathlib
 import runpy
 import sys
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
 
 
@@ -35,6 +37,16 @@ def test_fuzz_sweep_empty_corpus_prints_a_row_without_sizes(monkeypatch, capsys)
     assert code == 0
     header, row = capsys.readouterr().out.splitlines()
     assert row.split()[:4] == ["1", "0", "0/0", "-"]
+
+
+@pytest.mark.parametrize("flag", ["--count", "--depths", "--quants"])
+def test_fuzz_sweep_negative_count_is_a_usage_error(monkeypatch, capsys, flag):
+    args = {"--count": "1", "--depths": "1", "--quants": "0"} | {flag: "-5"}
+    code = _run(monkeypatch, "fuzz_sweep.py", *[item for pair in args.items() for item in pair])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a count of 0 or more, got -5" in captured.err
 
 
 def test_demo_runs(monkeypatch, capsys):
