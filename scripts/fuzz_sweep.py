@@ -3,8 +3,9 @@
 For every (temporal depth, quantifier count) cell the script runs a
 seeded fuzz corpus, compares the automaton route against the brute
 force oracle, and prints one table row with agreement and automaton size
-statistics.  Any disagreement makes the run exit nonzero, so the sweep
-doubles as a long-form self check.
+statistics.  Like foltl fuzz, the run exits 1 on any disagreement, else
+3 if any case hit the state limit, so the sweep doubles as a long-form
+self check.
 
 Usage:
     python scripts/fuzz_sweep.py --seed 42 --count 100
@@ -21,7 +22,7 @@ from foltl.gen import GenBounds
 HEADER = f"{'depth':>5} {'quant':>5} {'agree':>9} {'states(min/mean/max)':>22} {'time':>8}"
 
 
-def run_cell(seed: int, count: int, depth: int, quantifiers: int) -> tuple[bool, str]:
+def run_cell(seed: int, count: int, depth: int, quantifiers: int) -> tuple[cli.ExitStatus, str]:
     bounds = GenBounds(max_depth=depth, max_quantifiers=quantifiers)
     started = time.perf_counter()
     cases = fuzz_compare(seed, count, bounds)
@@ -34,11 +35,14 @@ def run_cell(seed: int, count: int, depth: int, quantifiers: int) -> tuple[bool,
         f"{depth:>5} {quantifiers:>5} {agreements:>5}/{len(cases):<3}"
         f" {sizes:>22} {elapsed:>7.2f}s"
     )
-    clean = agreements == len(cases)
-    if not clean:
-        failed = any(not case.agree and not case.limit_states for case in cases)
-        row += "  <- disagreement" if failed else "  <- over the state limit"
-    return clean, row
+    status = cli.ExitStatus.TRUE
+    if any(not case.agree and not case.limit_states for case in cases):
+        status = cli.ExitStatus.FALSE
+        row += "  <- disagreement"
+    elif any(case.limit_states for case in cases):
+        status = cli.ExitStatus.ERROR
+        row += "  <- over the state limit"
+    return status, row
 
 
 def main() -> int:
@@ -50,15 +54,19 @@ def main() -> int:
     args = parser.parse_args()
 
     print(HEADER)
-    all_clean = True
+    statuses = set()
     for depth in args.depths:
         for quantifiers in args.quants:
-            clean, row = run_cell(args.seed, args.count, depth, quantifiers)
-            all_clean = all_clean and clean
+            status, row = run_cell(args.seed, args.count, depth, quantifiers)
+            statuses.add(status)
             print(row, flush=True)
-    if not all_clean:
+    if cli.ExitStatus.FALSE in statuses:
         print("disagreements found, rerun the cell with foltl fuzz for details", file=sys.stderr)
-    return 0 if all_clean else 1
+        return cli.ExitStatus.FALSE
+    if cli.ExitStatus.ERROR in statuses:
+        print("cases over the state limit, rerun the cell with foltl fuzz for details", file=sys.stderr)
+        return cli.ExitStatus.ERROR
+    return cli.ExitStatus.TRUE
 
 
 if __name__ == "__main__":

@@ -1,15 +1,14 @@
 """Compilation of normal-form formulas into alternating automata.
 
-States are the subformula closure plus two absorbing pits, TOP and
-BOTTOM; the accepting states are the Release members of the closure
-plus TOP.  One walk of the formula, ensure_well_formed, checks scoping,
-numbers the states and finds those members.  A transition maps
-an obligation (variable valuation, state) and a message to a positive
-boolean combination of successor obligations, built directly in
-disjunctive normal form: a plain frozenset of conjuncts, each a
-frozenset of obligations, none a subset of another.  Atoms that hold
-become the empty conjunct and atoms that fail the empty disjunction,
-so the pits never appear inside a conjunct.  Quantifiers expand over
+States are exactly the subformula closure, and the accepting states
+are its Release members.  One walk of the formula, ensure_well_formed,
+checks scoping and numbers the states.  A transition maps an obligation
+(variable valuation, state) and a message to a positive boolean
+combination of successor obligations, built directly in disjunctive
+normal form: a plain frozenset of conjuncts, each a frozenset of
+obligations, none a subset of another.  Atoms that hold become the
+empty conjunct and atoms that fail the empty disjunction, so true and
+false are transition formulas, never states.  Quantifiers expand over
 the value domain the current message yields for their path, so the
 automaton stays finite-state while valuations live inside obligations;
 a reachable obligation's valuation binds its state's free variables
@@ -36,9 +35,11 @@ from .formula import (
     Next,
     Or,
     Path,
+    Release,
     Term,
     Until,
     Var,
+    _DUAL,
     _quote,
     ensure_well_formed,
     format_formula,
@@ -113,11 +114,6 @@ def dnf_and(dnfs: Iterable[Dnf]) -> Dnf:
     return frozenset(_conjoin(dnfs))
 
 
-# The pits are the only states that are not formulas, so a string will do.
-TOP = "TOP"
-BOTTOM = "BOTTOM"
-
-
 # Rule results are shared, so no rule may mutate the list it gets.
 _HOLDS: list[Conjunct] = [frozenset()]
 _FAILS: list[Conjunct] = []
@@ -134,29 +130,25 @@ def _never(p: Valuation, m: Message) -> list[Conjunct]:
 class Automaton:
     """Alternating automaton for one normal-form formula.
 
-    The state table holds the subformula closure in first-visit order
-    followed by the TOP and BOTTOM pits; state references are indices
-    into it.  Construction is pure and the table never changes.  Two
-    caches never show in what delta returns: each state's rule, kept
-    from its first use, and the domains of the last message, kept in
-    one tuple with it, so that threads never mix two messages' domains.
+    The state table is the subformula closure in first-visit order, and
+    state references are indices into it.  Construction is pure and the
+    table never changes.  Two caches never show in what delta returns:
+    each state's rule, kept from its first use, and the domains of the
+    last message, kept in one tuple with it, so that threads never mix
+    two messages' domains.
     """
 
     def __init__(self, source: Formula):
-        self._refs, releases = ensure_well_formed(source, nnf=True)
-        self.source = source
-        self.states: tuple[Formula | str, ...] = (*self._refs, TOP, BOTTOM)
-        self.top = len(self._refs)
-        self.bottom = len(self._refs) + 1
-        self.accepting = frozenset(releases) | {self.top}
+        self._refs = ensure_well_formed(source)
+        self.states: tuple[Formula, ...] = tuple(self._refs)
+        # Checked after the walk, so that a scope error comes first.
+        if any(type(f) not in _DUAL for f in self.states):
+            raise ValueError("subformula closure is defined on negation normal form only")
+        self.accepting = frozenset(ref for ref, f in enumerate(self.states) if type(f) is Release)
         # The source is the closure's first member.
         self.initial: Obligation = (EMPTY_VALUATION, 0)
-        self._rules: list = [None] * len(self._refs) + [_always, _never]
+        self._rules: list = [None] * len(self.states)
         self._last: tuple[Message | None, dict[Path, frozenset[str]]] = (None, {})
-
-    def state_label(self, ref: int) -> str:
-        state = self.states[ref]
-        return state if isinstance(state, str) else format_formula(state)
 
     def delta(self, valuation: Valuation, state: int, message: Message) -> Dnf:
         """One-step obligation rewrite against a message, normalized.
@@ -236,14 +228,14 @@ class Automaton:
 
     def to_dot(self) -> str:
         lines = ["digraph automaton {", "  rankdir=LR;", '  entry [shape=point, label=""];']
-        for ref in range(len(self.states)):
+        for ref, state in enumerate(self.states):
             shape = "doublecircle" if ref in self.accepting else "circle"
-            lines.append(f"  s{ref} [shape={shape}, label={_quote(self.state_label(ref))}];")
+            lines.append(f"  s{ref} [shape={shape}, label={_quote(format_formula(state))}];")
         lines.append(f"  entry -> s{self.initial[1]};")
         lines.append("}")
         return "\n".join(lines)
 
 
 def build_automaton(formula: Formula) -> Automaton:
-    """Compile a normal-form formula; states number |closure| + 2."""
+    """Compile a normal-form formula; states number |closure|."""
     return Automaton(formula)

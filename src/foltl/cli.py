@@ -69,15 +69,15 @@ def cmd_compile(args) -> ExitStatus:
     if args.dot:
         print(automaton.to_dot())
     else:
-        for ref in range(len(automaton.states)):
+        for ref, state in enumerate(automaton.states):
             markers = (">" if ref == automaton.initial[1] else "") + (
                 "*" if ref in automaton.accepting else ""
             )
-            print(f"{ref}\t{markers}\t{automaton.state_label(ref)}")
+            print(f"{ref}\t{markers}\t{format_formula(state)}")
     if args.stats:
         print(f"states {len(automaton.states)}")
         print(f"accepting {len(automaton.accepting)}")
-        print(f"temporal-depth {temporal_depth(automaton.source)}")
+        print(f"temporal-depth {temporal_depth(automaton.states[0])}")
         quantifiers = [f for f in automaton.states if isinstance(f, (Exists, Forall))]
         print(f"variables {len({f.var for f in quantifiers})}")
     return ExitStatus.TRUE

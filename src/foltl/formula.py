@@ -439,29 +439,25 @@ def temporal_depth(formula: Formula) -> int:
 
 def node_count(formula: Formula) -> int:
     """Number of formula nodes, terms not counted: the paper's size |phi|,
-    against which criterion 3 checks the bound of |phi| + 2 states."""
+    against which criterion 3 checks the bound of |phi| states."""
     return 1 + sum(map(node_count, children(formula)))
 
 
 def ensure_well_formed(
-    formula: Formula, scope: frozenset[str] = frozenset(), nnf: bool = False
-) -> tuple[dict[Formula, int], list[int]]:
+    formula: Formula, scope: frozenset[str] = frozenset()
+) -> dict[Formula, int]:
     """Raise unless every variable is bound exactly once on its branch;
-    return the subformula closure and the numbers of its Release members.
+    return the subformula closure, each member numbered.
 
     One walk reports scope errors in text order and numbers the closure
     in first-visit order: the formula is member 0, atoms add only
     themselves, the other kinds their operands.  Equal subtrees share a
-    number, but each is visited: it may sit in another scope.  With nnf,
-    a kind outside normal form raises ValueError, unless a scope error
-    comes first.
+    number, but each is visited: it may sit in another scope.
     """
     members: dict[Formula, int] = {}
-    releases: list[int] = []
-    lowered: list[Formula] = []
 
     def walk(f: Formula, scope: frozenset[str]) -> None:
-        ref = members.setdefault(f, len(members))
+        members.setdefault(f, len(members))
         kind = type(f)
         if kind is Eq or kind is Neq:
             for term in f:
@@ -473,15 +469,10 @@ def ensure_well_formed(
             if var in scope:
                 raise ShadowedVariableError(var)
             return walk(body, scope | {var})
-        if kind is Release:
-            releases.append(ref)
-        elif kind not in _DUAL:  # sugar, or a TypeError from children
-            lowered.append(f)
+        if kind not in _DUAL:  # sugar, or a TypeError from children
             f = children(f)
         for child in f:
             walk(child, scope)
 
     walk(formula, scope)
-    if nnf and lowered:
-        raise ValueError("subformula closure is defined on negation normal form only")
-    return members, releases
+    return members

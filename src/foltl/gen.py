@@ -38,14 +38,13 @@ from .formula import (
     to_nnf,
 )
 
-VALUES = ("a", "b", "c", "d", "e")
+VALUES = ("a", "b", "c")
 PATHS = (Path(("m", "a")), Path(("m", "b")), Path(("m", "c", "d")))
 
 
 _KNOBS = {
     "max_depth": 3,  # temporal operators per branch
     "max_quantifiers": 2,  # per formula
-    "alphabet": 3,  # distinct leaf values
     "max_prefix": 4,
     "max_loop": 3,
     "max_trace": 6,  # finite traces for monitoring corpora
@@ -65,10 +64,8 @@ def case_rng(seed: int, tag: str, index: int) -> random.Random:
 
 
 def gen_message(rng: random.Random, bounds: GenBounds) -> Message:
-    values = VALUES[: bounds.alphabet]
-
     def leaf_or_list(limit: int):
-        picks = [rng.choice(values) for _ in range(rng.randint(1, limit))]
+        picks = [rng.choice(VALUES) for _ in range(rng.randint(1, limit))]
         return picks[0] if len(picks) == 1 else picks
 
     body: dict[str, object] = {}
@@ -76,7 +73,7 @@ def gen_message(rng: random.Random, bounds: GenBounds) -> Message:
         body["a"] = leaf_or_list(2)
     if rng.random() < 0.6:
         # Occasionally a subtree, so /m/b matches a non-text element.
-        body["b"] = {"x": rng.choice(values)} if rng.random() < 0.15 else leaf_or_list(2)
+        body["b"] = {"x": rng.choice(VALUES)} if rng.random() < 0.15 else leaf_or_list(2)
     if rng.random() < 0.45:
         body["c"] = {"d": leaf_or_list(2)}
     return message_from_obj({"m": body})
@@ -107,10 +104,10 @@ def gen_sugared_formula(rng: random.Random, bounds: GenBounds) -> Formula:
             return formula
 
 
-def _gen_term(rng: random.Random, scope: tuple[str, ...], values: tuple[str, ...]) -> Term:
+def _gen_term(rng: random.Random, scope: tuple[str, ...]) -> Term:
     if scope and rng.random() < 0.6:
         return Var(rng.choice(scope))
-    return Const(rng.choice(values))
+    return Const(rng.choice(VALUES))
 
 
 def _gen(
@@ -131,11 +128,10 @@ def _gen(
         if quantifiers[0] > 0:
             kinds += [Exists, Exists, Forall, Forall]
     kind = rng.choice(kinds)
-    values = VALUES[: bounds.alphabet]
 
     if kind is Eq:
-        left = _gen_term(rng, scope, values)
-        right = _gen_term(rng, scope, values)
+        left = _gen_term(rng, scope)
+        right = _gen_term(rng, scope)
         return Eq(left, right) if rng.random() < 0.5 else Neq(left, right)
     if kind is TrueLit:
         return TrueLit() if rng.random() < 0.5 else FalseLit()

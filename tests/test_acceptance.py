@@ -74,7 +74,7 @@ def test_criterion_2_route_agreement(corpus):
 
 def test_criterion_3_state_bound(corpus):
     cases, _ = corpus
-    ok = all(case.state_count <= node_count(to_nnf(case.formula)) + 2 for case in cases)
+    ok = all(case.state_count <= node_count(to_nnf(case.formula)) for case in cases)
     _report(3, "state bound", ok)
 
 

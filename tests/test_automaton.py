@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 import strategies
 from foltl.automaton import (
-    BOTTOM,
     EMPTY_VALUATION,
     FALSE_DNF,
-    TOP,
     TRUE_DNF,
     Automaton,
     build_automaton,
@@ -37,6 +35,7 @@ from foltl.formula import (
     Var,
     children,
     ensure_well_formed,
+    format_formula,
     node_count,
     parse,
     temporal_depth,
@@ -235,7 +234,7 @@ class TestDnfEquivalence:
 class TestAcceptingSets:
     def test_atom_formula_accepts_only_top(self):
         auto = build_automaton(A)
-        assert auto.accepting == {auto.top}
+        assert auto.accepting == frozenset()
 
     def test_until_is_not_accepting(self):
         auto = build_automaton(Until(A, B))
@@ -249,7 +248,7 @@ class TestAcceptingSets:
     def test_nested_release_inside_until(self):
         inner = Release(A, B)
         auto = build_automaton(Until(A, inner))
-        assert auto.accepting == {auto.states.index(inner), auto.top}
+        assert auto.accepting == {auto.states.index(inner)}
 
     def test_rejects_non_normal_form(self):
         # Sugar below the root, inside the Release whose state would accept.
@@ -265,25 +264,27 @@ class TestConstruction:
     def test_state_table_layout(self):
         phi = Until(A, B)
         auto = build_automaton(phi)
-        assert auto.states == (phi, A, B, TOP, BOTTOM)
-        assert auto.top == 3 and auto.bottom == 4
+        assert auto.states == (phi, A, B)
         assert auto.initial == (EMPTY_VALUATION, 0)
 
     def test_request_ack_state_count(self):
         nnf = to_nnf(parse('G forall x in "/m/req" : F exists y in "/m/ack" : y = x'))
         auto = build_automaton(nnf)
-        assert len(auto.states) == 9
-        assert auto.accepting == {0, auto.top}
+        assert len(auto.states) == 7
+        assert auto.accepting == {0}
 
     def test_shared_subtrees_collapse(self):
         auto = build_automaton(Or(A, A))
-        assert auto.states == (Or(A, A), A, TOP, BOTTOM)
+        assert auto.states == (Or(A, A), A)
 
     def test_state_labels(self):
-        auto = build_automaton(A)
-        assert auto.state_label(auto.top) == "TOP"
-        assert auto.state_label(auto.bottom) == "BOTTOM"
-        assert auto.state_label(0) == '"a" = "a"'
+        # Every state is a formula, labelled by its concrete syntax.
+        auto = build_automaton(And(A, NO))
+        assert [format_formula(state) for state in auto.states] == [
+            '("a" = "a" & "a" != "a")',
+            '"a" = "a"',
+            '"a" != "a"',
+        ]
 
     def test_scope_error_wins_over_normal_form(self):
         # The unbound x sits right of the sugar, and still decides.
@@ -317,16 +318,11 @@ class TestConstruction:
     @given(strategies.nnf_formulas())
     def test_state_count_bound(self, formula):
         auto = build_automaton(formula)
-        assert len(auto.states) == len(set(_subtrees(formula))) + 2
-        assert len(auto.states) <= node_count(formula) + 2
+        assert len(auto.states) == len(set(_subtrees(formula)))
+        assert len(auto.states) <= node_count(formula)
 
 
 class TestDelta:
-    def test_pits_absorb(self):
-        auto = build_automaton(A)
-        assert auto.delta(EMPTY_VALUATION, auto.top, STOCK) == TRUE_DNF
-        assert auto.delta(EMPTY_VALUATION, auto.bottom, STOCK) == FALSE_DNF
-
     def test_true_atom(self):
         auto = build_automaton(A)
         assert auto.delta(EMPTY_VALUATION, 0, STOCK) == TRUE_DNF
@@ -493,7 +489,7 @@ class TestDeltaInvariants:
     @given(strategies.nnf_formulas(), strategies.traces(max_length=2))
     def test_reachable_obligations_are_well_formed(self, formula, trace):
         auto = build_automaton(formula)
-        closure_size = len(auto.states) - 2
+        closure_size = len(auto.states)
         for (valuation, state), dnf in _reachable(auto, trace):
             source = auto.states[state]
             for conjunct in dnf:
@@ -542,7 +538,8 @@ class TestDot:
         assert dot.rstrip().endswith("}")
         assert f"entry -> s{auto.initial[1]};" in dot
         assert "s0 [shape=doublecircle" in dot
-        assert f"s{auto.bottom} [shape=circle, label=\"BOTTOM\"];" in dot
+        assert 's1 [shape=circle, label="\\"a\\" != \\"a\\""];' in dot
+        assert "s3 " not in dot
 
     def test_labels_escape_quotes(self):
         auto = build_automaton(A)

@@ -45,8 +45,8 @@ class TestCompile:
         assert [r[0] for r in rows] == [str(i) for i in range(len(rows))]
         assert rows[0][1] == ">"  # the whole formula is the entry state
         marked = {r[2] for r in rows if "*" in r[1]}
-        assert marked == {"TOP"}  # F-formulas add no accepting loops
-        assert rows[-1][2] == "BOTTOM"
+        assert marked == set()  # F-formulas add no accepting loops
+        assert rows[-1][2] == 'x = "b"'  # the closure is the whole table
 
     def test_release_state_is_marked_accepting(self, capsys):
         assert main(["compile", "--formula", SAFETY]) == 0
@@ -62,8 +62,8 @@ class TestCompile:
     def test_stats(self, capsys):
         assert main(["compile", "--formula", REQ_ACK, "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "states 9\n" in out
-        assert "accepting 2\n" in out
+        assert "states 7\n" in out
+        assert "accepting 1\n" in out
         assert "temporal-depth 2\n" in out
         assert "variables 2\n" in out
 

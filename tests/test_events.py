@@ -184,7 +184,7 @@ class TestLasso:
             LassoTrace(prefix=(), loop=())
 
     def test_missing_loop_rejected(self):
-        with pytest.raises(MalformedInputError):
+        with pytest.raises(MalformedInputError, match='^line 0: lasso needs a "loop" array$'):
             load_lasso('{"prefix":[]}')
 
     def test_unknown_keys_rejected(self):
@@ -192,7 +192,7 @@ class TestLasso:
             load_lasso('{"loop":[{"m":{}}],"lop":[]}')
 
     def test_non_object_rejected(self):
-        with pytest.raises(MalformedInputError):
+        with pytest.raises(MalformedInputError, match="^line 0: lasso must be a JSON object$"):
             load_lasso("[]")
 
     @pytest.mark.parametrize(

@@ -287,7 +287,7 @@ class TestRecords:
             LassoTrace(prefix=(), loop=())
 
     def test_keywords_and_defaults(self):
-        assert GenBounds(max_depth=4) == GenBounds(4, 2, 3, 4, 3, 6, 12)
+        assert GenBounds(max_depth=4) == GenBounds(4, 2, 4, 3, 6, 12)
         assert GenBounds().size_budget == 12
         trace = LassoTrace(prefix=(), loop=(parse_message('{"m":{}}'),))
         case = FuzzCase(
@@ -451,23 +451,23 @@ class TestMeasures:
 
 
 class TestClosure:
-    # The closure is the automaton's state table before its two pits.
+    # The closure is the automaton's state table.
     def test_atom_closure_is_itself(self):
-        assert build_automaton(A).states[:-2] == (A,)
+        assert build_automaton(A).states == (A,)
 
     def test_until_closure_in_first_visit_order(self):
         phi = Until(A, B)
-        assert build_automaton(phi).states[:-2] == (phi, A, B)
+        assert build_automaton(phi).states == (phi, A, B)
 
     def test_release_with_quantifier(self):
         body = Eq(Var("x"), Const("b"))
         exists = Exists("x", Path(("m", "a")), body)
         phi = Release(A, exists)
-        assert build_automaton(phi).states[:-2] == (phi, A, exists, body)
+        assert build_automaton(phi).states == (phi, A, exists, body)
 
     def test_duplicate_subtrees_collapse(self):
         phi = Or(A, A)
-        assert build_automaton(phi).states[:-2] == (phi, A)
+        assert build_automaton(phi).states == (phi, A)
 
     def test_requires_normal_form(self):
         with pytest.raises(ValueError):
@@ -478,13 +478,13 @@ class TestClosure:
     @given(strategies.formulas())
     def test_closure_no_larger_than_node_count(self, formula):
         normal = to_nnf(formula)
-        assert len(build_automaton(normal).states) - 2 <= node_count(normal)
+        assert len(build_automaton(normal).states) <= node_count(normal)
 
     @given(strategies.nnf_formulas())
     def test_member_closures_are_subsets(self, formula):
         # Closed under children, so each member's own closure is inside it.
         states = build_automaton(formula).states
-        for member in states[:-2]:
+        for member in states:
             assert set(children(member)) <= set(states)
 
 

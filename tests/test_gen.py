@@ -75,8 +75,8 @@ def test_seed_42_delta_calls_are_unchanged():
 # 999: per case, every state's label in order and the sorted accepting
 # refs.  The delta digest covers only the states its cases visit.
 STATE_TABLE_SHA256 = {
-    (4, 3): "d33695d512306c3ea1cdc935d0e5840a84417298598dfd1c932215d1a490dd04",
-    (3, 2): "547815d82aa859a2836bcabe2d0efeb81e8e472a9817e522f5c6692f33905397",
+    (4, 3): "84898b011584b00e587d451bf7916a890eafd93f6b9ed17fc8d189f28c906376",
+    (3, 2): "fab4083ad0ddddeda6a0e9eb283003e5f0fc08704ab9cf2752f2e8fce3ba8119",
 }
 
 
@@ -86,7 +86,7 @@ def test_seed_42_state_tables_are_unchanged(depth, quantifiers):
     digest = hashlib.sha256()
     for index in range(1000):
         automaton = build_automaton(to_nnf(gen_formula(case_rng(42, "case", index), bounds)))
-        labels = [automaton.state_label(ref) for ref in range(len(automaton.states))]
+        labels = [format_formula(state) for state in automaton.states]
         digest.update(f"{json.dumps([index, labels, sorted(automaton.accepting)])}\n".encode())
     assert digest.hexdigest() == STATE_TABLE_SHA256[depth, quantifiers]
 

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from foltl import acceptance
+
 SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
 
 
@@ -37,6 +39,21 @@ def test_fuzz_sweep_empty_corpus_prints_a_row_without_sizes(monkeypatch, capsys)
     assert code == 0
     header, row = capsys.readouterr().out.splitlines()
     assert row.split()[:4] == ["1", "0", "0/0", "-"]
+
+
+def test_fuzz_sweep_state_limit_is_not_a_disagreement(monkeypatch, capsys):
+    # Like foltl fuzz: exit 3, not 1, when cases only hit the state limit.
+    fuzz_compare = acceptance.fuzz_compare
+    monkeypatch.setattr(
+        acceptance, "fuzz_compare", lambda seed, count, bounds: fuzz_compare(seed, count, bounds, state_limit=0)
+    )
+    code = _run(monkeypatch, "fuzz_sweep.py", "--count", "3", "--depths", "1", "--quants", "0")
+    assert code == 3
+    captured = capsys.readouterr()
+    header, row = captured.out.splitlines()
+    assert row.split()[:3] == ["1", "0", "0/3"]
+    assert row.endswith("  <- over the state limit")
+    assert captured.err == "cases over the state limit, rerun the cell with foltl fuzz for details\n"
 
 
 @pytest.mark.parametrize("flag", ["--count", "--depths", "--quants"])
