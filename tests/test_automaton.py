@@ -489,12 +489,11 @@ class TestDeltaInvariants:
     @given(strategies.nnf_formulas(), strategies.traces(max_length=2))
     def test_reachable_obligations_are_well_formed(self, formula, trace):
         auto = build_automaton(formula)
-        closure_size = len(auto.states)
         for (valuation, state), dnf in _reachable(auto, trace):
             source = auto.states[state]
             for conjunct in dnf:
                 for target_valuation, target in conjunct:
-                    assert 0 <= target < closure_size
+                    assert 0 <= target < len(auto.states)
                     target_formula = auto.states[target]
                     bound = frozenset(n for n, _ in target_valuation)
                     ensure_well_formed(target_formula, bound)
