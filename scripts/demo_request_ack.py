@@ -15,7 +15,6 @@ from foltl import (
     oracle_eval,
     parse,
     step,
-    to_nnf,
     verdict,
 )
 
@@ -33,7 +32,7 @@ DROPPED = '{"prefix":[{"m":{"req":"r1"}}],"loop":[{"m":{"req":"r9","ack":"r9"}}]
 
 def main() -> None:
     formula = parse(FORMULA)
-    automaton = build_automaton(to_nnf(formula))
+    automaton = build_automaton(formula)
 
     print(f"formula   {FORMULA}")
     print(f"states    {len(automaton.states)} ({len(automaton.accepting)} accepting)")

@@ -5,8 +5,8 @@ temporal unfolding laws: per subformula and valuation it computes the
 set of canonical positions where the formula holds, taking Until as a
 least and Release as a greatest fixpoint over that finite position
 space.  It shares with the automaton route only the input layer:
-value_of, ensure_well_formed, dom, canonical_position and
-position_message.  It never calls the automaton machinery or to_nnf.
+value_of, dom, canonical_position, position_message, and the scope
+errors of ensure_well_formed; never the normal form or the automaton.
 
 lasso_accepts decides acceptance of the compiled automaton on
 (canonical position, obligation) pairs.  The automaton is very weak,
@@ -27,7 +27,6 @@ from .automaton import (
     Automaton,
     Obligation,
     Valuation,
-    build_automaton,
     value_of,
 )
 from .events import LassoTrace, canonical_position, dom, position_message
@@ -50,7 +49,6 @@ from .formula import (
     TrueLit,
     Until,
     ensure_well_formed,
-    to_nnf,
 )
 from .gen import GenBounds, case_rng, gen_formula, gen_lasso
 
@@ -245,7 +243,7 @@ def fuzz_compare(
         rng = case_rng(seed, "case", index)
         formula = gen_formula(rng, bounds)
         trace = gen_lasso(rng, bounds)
-        automaton = build_automaton(to_nnf(formula))
+        automaton = Automaton(formula)
         automaton_result = oracle_result = None
         limit_states = 0
         try:

@@ -1,18 +1,18 @@
-"""Compilation of normal-form formulas into alternating automata.
+"""Compilation of formulas, as written, into alternating automata.
 
-States are exactly the subformula closure, and the accepting states
-are its Release members.  One walk of the formula, ensure_well_formed,
-checks scoping and numbers the states.  A transition maps an obligation
-(variable valuation, state) and a message to a positive boolean
-combination of successor obligations, built directly in disjunctive
-normal form: a plain frozenset of conjuncts, each a frozenset of
-obligations, none a subset of another.  Atoms that hold become the
-empty conjunct and atoms that fail the empty disjunction, so true and
-false are transition formulas, never states.  Quantifiers expand over
-the value domain the current message yields for their path, so the
-automaton stays finite-state while valuations live inside obligations;
-a reachable obligation's valuation binds its state's free variables
-and none that the state quantifies again.
+States are the closure of the formula's normal form, and the accepting
+states are its Release members.  One walk, ensure_well_formed, lowers
+the formula, checks scoping and numbers the states.  A transition maps
+an obligation (variable valuation, state) and a message to a positive
+boolean combination of successor obligations, built directly in
+disjunctive normal form: a plain frozenset of conjuncts, each a
+frozenset of obligations, none a subset of another.  Atoms that hold
+become the empty conjunct and atoms that fail the empty disjunction,
+so true and false are transition formulas, never states.  Quantifiers
+expand over the value domain the current message yields for their
+path, so the automaton stays finite-state while valuations live inside
+obligations; a reachable obligation's valuation binds its state's free
+variables and none that the state quantifies again.
 
 What a state does on a message is fixed when the automaton is built,
 so each state is compiled once, when a transition first needs it, into
@@ -39,7 +39,6 @@ from .formula import (
     Term,
     Until,
     Var,
-    _DUAL,
     _quote,
     ensure_well_formed,
     format_formula,
@@ -128,9 +127,9 @@ def _never(p: Valuation, m: Message) -> list[Conjunct]:
 
 
 class Automaton:
-    """Alternating automaton for one normal-form formula.
+    """Alternating automaton for a formula as written; negate it with Not.
 
-    The state table is the subformula closure in first-visit order, and
+    The state table is its normal form's closure in first-visit order, and
     state references are indices into it.  Construction is pure and the
     table never changes.  Two caches never show in what delta returns:
     each state's rule, kept from its first use, and the domains of the
@@ -141,11 +140,8 @@ class Automaton:
     def __init__(self, source: Formula):
         self._refs = ensure_well_formed(source)
         self.states: tuple[Formula, ...] = tuple(self._refs)
-        # Checked after the walk, so that a scope error comes first.
-        if any(type(f) not in _DUAL for f in self.states):
-            raise ValueError("subformula closure is defined on negation normal form only")
         self.accepting = frozenset(ref for ref, f in enumerate(self.states) if type(f) is Release)
-        # The source is the closure's first member.
+        # The source's normal form is the closure's first member.
         self.initial: Obligation = (EMPTY_VALUATION, 0)
         self._rules: list = [None] * len(self.states)
         self._last: tuple[Message | None, dict[Path, frozenset[str]]] = (None, {})
@@ -237,5 +233,5 @@ class Automaton:
 
 
 def build_automaton(formula: Formula) -> Automaton:
-    """Compile a normal-form formula; states number |closure|."""
+    """Compile a formula; states number |closure of its normal form|."""
     return Automaton(formula)

@@ -22,7 +22,7 @@ from .events import (
     lasso_to_json,
     load_lasso,
 )
-from .formula import Exists, Forall, Formula, FormulaError, format_formula, parse, temporal_depth, to_nnf
+from .formula import Exists, Forall, Formula, FormulaError, format_formula, parse, temporal_depth
 from .gen import GenBounds
 from .monitor import Verdict, initial_configuration, step, verdict
 
@@ -65,7 +65,7 @@ def load_formula(path: str) -> Formula:
 
 
 def cmd_compile(args) -> ExitStatus:
-    automaton = build_automaton(to_nnf(load_formula(args.formula)))
+    automaton = build_automaton(load_formula(args.formula))
     if args.dot:
         print(automaton.to_dot())
     else:
@@ -84,7 +84,7 @@ def cmd_compile(args) -> ExitStatus:
 
 
 def cmd_monitor(args) -> ExitStatus:
-    automaton = build_automaton(to_nnf(load_formula(args.formula)))
+    automaton = build_automaton(load_formula(args.formula))
     configuration = initial_configuration(automaton)
     current = Verdict.INCONCLUSIVE
     with open(args.trace, encoding="utf-8") as handle:
@@ -102,7 +102,7 @@ def _load_lasso_file(path: str):
 
 
 def cmd_accept(args) -> ExitStatus:
-    automaton = build_automaton(to_nnf(load_formula(args.formula)))
+    automaton = build_automaton(load_formula(args.formula))
     accepted = lasso_accepts(automaton, _load_lasso_file(args.lasso), args.state_limit)
     print(f"RESULT {'TRUE' if accepted else 'FALSE'}")
     return ExitStatus.TRUE if accepted else ExitStatus.FALSE

@@ -10,14 +10,14 @@ Nodes, terms and paths are tuple-backed records (``Record`` over a
 namedtuple): immutable, matched by position, hashed in C, and equal
 only to a record of their own kind, so ``Eq(a, b) != Neq(a, b)``.
 
-A node's subformulas are its fields that are formulas.  ``children``
-reads them for the measures, and ``to_nnf`` rebuilds a normal-form kind
-from them.  ``to_nnf`` expands each abbreviation from one table, stated
-in positive polarity only, so De Morgan lives in ``_DUAL`` alone.
-``ensure_well_formed`` is the one walk that checks scoping and numbers
-the closure, dispatched on exact type.  ``format_formula`` matches each
-node kind explicitly, because it states its meaning.  The lexer sorts
-the matches of one regular expression.
+A node's subformulas are its fields that are formulas; ``children``
+reads them for the measures.  One walk, on exact type, lowers a formula
+to normal form, checks its scoping and numbers the closure of the
+result: ``to_nnf``, ``negate`` and ``ensure_well_formed`` each keep
+what they need of it.  It expands each abbreviation from one table,
+stated in positive polarity only, so De Morgan lives in ``_DUAL`` alone.
+``format_formula`` matches each node kind explicitly, because it states
+its meaning.  The lexer sorts the matches of one regular expression.
 """
 from __future__ import annotations
 
@@ -220,11 +220,13 @@ _UNARY = {"G": Globally, "F": Finally, "X": Next, "!": Not}
 _INFIX = ({"->": Implies}, {"|": Or}, {"&": And}, {"U": Until, "R": Release})
 _QUANTIFIER = {"exists": Exists, "forall": Forall}
 _COMPARE = {"=": Eq, "!=": Neq}
+_LITERAL = {"true": TrueLit, "false": FalseLit}
+_TERM = {"IDENT": Var, "STRING": Const}
 # What _expect says it wanted, for the token kinds that are not literal text.
 _EXPECTED = {"IDENT": "variable name", "STRING": "quoted path"}
 _SYMBOL = {
     kind: symbol
-    for table in (_UNARY, *_INFIX, _QUANTIFIER, _COMPARE)
+    for table in (_UNARY, *_INFIX, _QUANTIFIER, _COMPARE, _LITERAL)
     for symbol, kind in table.items()
 }
 
@@ -310,12 +312,9 @@ class Parser:
             inner = self._nested(self._advance(), self._binary, 0)
             self._expect(")")
             return inner
-        if tok.kind == "true":
+        if tok.kind in _LITERAL:
             self._advance()
-            return TrueLit()
-        if tok.kind == "false":
-            self._advance()
-            return FalseLit()
+            return _LITERAL[tok.kind]()
         left = self._term()
         op = self._peek()
         if op.kind in _COMPARE:
@@ -325,12 +324,9 @@ class Parser:
 
     def _term(self) -> Term:
         tok = self._peek()
-        if tok.kind == "IDENT":
+        if tok.kind in _TERM:
             self._advance()
-            return Var(tok.text)
-        if tok.kind == "STRING":
-            self._advance()
-            return Const(tok.text)
+            return _TERM[tok.kind](tok.text)
         raise FormulaSyntaxError(tok.position, "variable or quoted constant", found=tok.found())
 
 
@@ -352,10 +348,8 @@ def _format_term(term: Term) -> str:
 def format_formula(formula: Formula) -> str:
     """Render to concrete syntax; parse(format_formula(f)) == f."""
     match formula:
-        case TrueLit():
-            return "true"
-        case FalseLit():
-            return "false"
+        case TrueLit() | FalseLit():
+            return _SYMBOL[type(formula)]
         case Eq(left, right) | Neq(left, right):
             return f"{_format_term(left)} {_SYMBOL[type(formula)]} {_format_term(right)}"
         case Not(body) | Next(body) | Finally(body) | Globally(body):
@@ -377,7 +371,7 @@ _DUAL = {
 }
 
 # Each abbreviation and what it stands for, stated once and positively:
-# a negated one is expanded first and its expansion negated by _nnf.
+# a negated one is expanded first and its expansion negated by _walk.
 _LOWERED = {
     TrueLit: lambda: TRUE_ATOM,
     FalseLit: lambda: FALSE_ATOM,
@@ -387,37 +381,84 @@ _LOWERED = {
 }
 
 
+def _lower(formula: Formula, scope: frozenset[str]) -> tuple[Formula, list[Formula], list[FormulaError]]:
+    """The normal form of formula, its nodes in first-visit order, and the
+    scope errors in text order.  Not flips the polarity; a node is rebuilt,
+    as its _DUAL if negated, only if an operand changed (all of a negated
+    node's do).  A non-formula raises the first error before it, or TypeError."""
+    order: list[Formula] = []
+    errors: list[FormulaError] = []
+    return _walk(formula, False, scope, order, errors), order, errors
+
+
+def _walk(f: Formula, negated: bool, scope: frozenset[str], order: list[Formula], errors: list) -> Formula:
+    """One node of _lower's walk, with everything below it."""
+    kind = type(f)
+    if kind is Not:
+        return _walk(f.body, not negated, scope, order, errors)
+    if kind in _LOWERED:
+        return _walk(_LOWERED[kind](*f), negated, scope, order, errors)
+    if kind not in _DUAL:
+        raise errors[0] if errors else TypeError(f"not a formula: {f!r}")
+    # Taken on entry and filled on exit, so nodes number in preorder.
+    slot = len(order)
+    order.append(f)
+    kind = _DUAL[kind] if negated else kind
+    if kind is Eq or kind is Neq:
+        for term in f:
+            if type(term) is Var and term.name not in scope:
+                errors.append(UnboundVariableError(term.name))
+        f = kind(*f) if negated else f
+    elif kind is Exists or kind is Forall:
+        if f.var in scope:
+            errors.append(ShadowedVariableError(f.var))
+        lowered = _walk(f.body, negated, scope | {f.var}, order, errors)
+        if lowered is not f.body:
+            f = kind(f.var, f.path, lowered)
+    elif kind is Next:
+        lowered = _walk(f.body, negated, scope, order, errors)
+        if lowered is not f.body:
+            f = Next(lowered)
+    else:
+        left = _walk(f.left, negated, scope, order, errors)
+        right = _walk(f.right, negated, scope, order, errors)
+        if left is not f.left or right is not f.right:
+            f = kind(left, right)
+    order[slot] = f
+    return f
+
+
 def to_nnf(formula: Formula) -> Formula:
     """Push negations to atoms and lower F, G, ->, true, false.
 
     The result contains only Eq, Neq, And, Or, Next, Until, Release and
     the two quantifiers.  Boolean literals become the self-evident atoms
-    "true" = "true" and "true" != "true".
+    "true" = "true" and "true" != "true".  Open formulas are lowered too.
     """
-    return _nnf(formula, False)
+    return _lower(formula, frozenset())[0]
 
 
 def negate(formula: Formula) -> Formula:
     """Negation, returned in negation normal form."""
-    return _nnf(formula, True)
+    return _lower(Not(formula), frozenset())[0]
 
 
-def _nnf(f: Formula, negated: bool) -> Formula:
-    """The normal form of f, or of its negation, on exact type: Not flips
-    the polarity, _LOWERED expands an abbreviation, an atom is itself or
-    its _DUAL, and other kinds are rebuilt from their fields, as _DUAL if negated."""
-    kind = type(f)
-    dual = _DUAL.get(kind)
-    if dual is None:
-        if kind is Not:
-            return _nnf(f.body, not negated)
-        if kind not in _LOWERED:
-            raise TypeError(f"not a formula: {f!r}")
-        return _nnf(_LOWERED[kind](*f), negated)
-    if kind is Eq or kind is Neq:
-        return dual(*f) if negated else f
-    kind = dual if negated else kind
-    return kind(*[_nnf(x, negated) if isinstance(x, Formula) else x for x in f])
+def ensure_well_formed(
+    formula: Formula, scope: frozenset[str] = frozenset()
+) -> dict[Formula, int]:
+    """Raise the first scope error in text order unless every variable is
+    bound exactly once on its branch; return the closure of the normal
+    form, each member numbered in first-visit order: the normal form is
+    member 0, atoms add only themselves, the other kinds their operands.
+    Equal subtrees share a number, but each is visited: it may sit in
+    another scope."""
+    _, order, errors = _lower(formula, scope)
+    if errors:
+        raise errors[0]
+    members: dict[Formula, int] = {}
+    for f in order:
+        members.setdefault(f, len(members))  # each member hashed once
+    return members
 
 
 def children(formula: Formula) -> tuple[Formula, ...]:
@@ -441,38 +482,3 @@ def node_count(formula: Formula) -> int:
     """Number of formula nodes, terms not counted: the paper's size |phi|,
     against which criterion 3 checks the bound of |phi| states."""
     return 1 + sum(map(node_count, children(formula)))
-
-
-def ensure_well_formed(
-    formula: Formula, scope: frozenset[str] = frozenset()
-) -> dict[Formula, int]:
-    """Raise unless every variable is bound exactly once on its branch;
-    return the subformula closure, each member numbered.
-
-    One walk reports scope errors in text order and numbers the closure
-    in first-visit order: the formula is member 0, atoms add only
-    themselves, the other kinds their operands.  Equal subtrees share a
-    number, but each is visited: it may sit in another scope.
-    """
-    members: dict[Formula, int] = {}
-
-    def walk(f: Formula, scope: frozenset[str]) -> None:
-        members.setdefault(f, len(members))
-        kind = type(f)
-        if kind is Eq or kind is Neq:
-            for term in f:
-                if type(term) is Var and term.name not in scope:
-                    raise UnboundVariableError(term.name)
-            return
-        if kind is Exists or kind is Forall:
-            var, _, body = f
-            if var in scope:
-                raise ShadowedVariableError(var)
-            return walk(body, scope | {var})
-        if kind not in _DUAL:  # sugar, or a TypeError from children
-            f = children(f)
-        for child in f:
-            walk(child, scope)
-
-    walk(formula, scope)
-    return members

@@ -14,12 +14,11 @@ from enum import Enum
 
 from .automaton import (
     Automaton,
-    build_automaton,
     dnf_and,
     dnf_or,
 )
 from .events import Message
-from .formula import Formula, Record, to_nnf
+from .formula import Formula, Record
 
 
 class Verdict(Enum):
@@ -73,8 +72,8 @@ def verdict(configuration: Configuration) -> Verdict:
 
 
 def monitor_trace(formula: Formula, trace: tuple[Message, ...]) -> list[Verdict]:
-    """Verdict after each consumed message; normal form is applied here."""
-    automaton = build_automaton(to_nnf(formula))
+    """Verdict after each consumed message, for a formula of any form."""
+    automaton = Automaton(formula)
     configuration = initial_configuration(automaton)
     verdicts: list[Verdict] = []
     for message in trace:

@@ -36,6 +36,7 @@ from foltl.formula import (
     children,
     ensure_well_formed,
     format_formula,
+    negate,
     node_count,
     parse,
     temporal_depth,
@@ -250,16 +251,27 @@ class TestAcceptingSets:
         auto = build_automaton(Until(A, inner))
         assert auto.accepting == {auto.states.index(inner)}
 
-    def test_rejects_non_normal_form(self):
-        # Sugar below the root, inside the Release whose state would accept.
-        with pytest.raises(ValueError):
-            build_automaton(Release(A, Not(B)))
+    def test_sugar_below_the_root_is_lowered(self):
+        # Sugar inside the Release whose state accepts: the states are
+        # those of the normal form, and the Release still accepts.
+        not_b = Neq(Const("b"), Const("b"))
+        auto = build_automaton(Release(A, Not(B)))
+        assert auto.states == (Release(A, not_b), A, not_b)
+        assert auto.accepting == {0}
 
 
 class TestConstruction:
-    def test_requires_normal_form(self):
-        with pytest.raises(ValueError):
-            Automaton(Not(A))
+    @given(strategies.formulas())
+    def test_formula_as_written_builds_its_normal_form(self, formula):
+        auto, normal = Automaton(formula), Automaton(to_nnf(formula))
+        assert auto.states == normal.states
+        assert auto.accepting == normal.accepting
+
+    @given(strategies.formulas())
+    def test_negation_builds_as_negate(self, formula):
+        auto, negated = Automaton(Not(formula)), Automaton(negate(formula))
+        assert auto.states == negated.states
+        assert auto.accepting == negated.accepting
 
     def test_state_table_layout(self):
         phi = Until(A, B)
@@ -287,15 +299,9 @@ class TestConstruction:
         ]
 
     def test_scope_error_wins_over_normal_form(self):
-        # The unbound x sits right of the sugar, and still decides.
+        # The unbound x sits right of the sugar, which is lowered, not refused.
         with pytest.raises(UnboundVariableError):
             Automaton(And(Not(A), FREE_X))
-
-    def test_normal_form_error_is_a_plain_value_error(self):
-        with pytest.raises(ValueError) as err:
-            Automaton(Release(A, Not(B)))
-        assert type(err.value) is ValueError
-        assert str(err.value) == "subformula closure is defined on negation normal form only"
 
     def test_scope_errors_in_text_order(self):
         with pytest.raises(UnboundVariableError):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 
@@ -45,6 +47,14 @@ from foltl.gen import GenBounds
 A = Eq(Const("a"), Const("a"))
 B = Eq(Const("b"), Const("b"))
 C = Eq(Const("c"), Const("c"))
+
+
+# The kinds a normal form is made of; every other kind is lowered.
+NORMAL_KINDS = frozenset({Eq, Neq, And, Or, Next, Until, Release, Exists, Forall})
+
+
+def _kinds(formula):
+    return {type(formula)}.union(*map(_kinds, children(formula)))
 
 
 def _closed(formula):
@@ -385,9 +395,23 @@ class TestNormalForm:
             with pytest.raises(TypeError):
                 negate(value)
 
+    def test_walk_leaves_no_garbage_cycle(self):
+        # No call leaves a cycle behind: reference counting alone frees
+        # what the walk allocates, with the collector off.
+        formula = parse('G forall x in "/m/req" : F exists y in "/m/ack" : y = x')
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                to_nnf(formula)
+                negate(formula)
+                ensure_well_formed(formula)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_non_formula_operand_fails_the_build(self):
-        # to_nnf may return a node with a non-formula operand; building
-        # the automaton from it is what raises.
+        # The walk stops at a non-formula operand, so to_nnf already raises.
         x = Var("x")
         for node in (Finally(x), Globally(x), Implies(x, A), Implies(A, x), And(A, x), Next(x)):
             with pytest.raises(TypeError):
@@ -395,19 +419,12 @@ class TestNormalForm:
 
     @given(strategies.formulas())
     def test_output_is_normal_form(self, formula):
-        # Building the automaton raises on any kind outside normal form.
-        build_automaton(to_nnf(formula))
+        assert _kinds(to_nnf(formula)) <= NORMAL_KINDS
 
     @given(strategies.formulas())
     def test_normal_form_is_the_fixed_point_of_lowering(self, formula):
-        try:
-            build_automaton(formula)
-        except ValueError as err:
-            assert type(err) is ValueError
-            assert str(err) == "subformula closure is defined on negation normal form only"
-            assert to_nnf(formula) != formula
-        else:
-            assert to_nnf(formula) == formula
+        # The very object comes back exactly when nothing needs lowering.
+        assert (to_nnf(formula) is formula) == (_kinds(formula) <= NORMAL_KINDS)
 
     @given(strategies.formulas())
     def test_idempotent(self, formula):
@@ -469,11 +486,10 @@ class TestClosure:
         phi = Or(A, A)
         assert build_automaton(phi).states == (phi, A)
 
-    def test_requires_normal_form(self):
-        with pytest.raises(ValueError):
-            build_automaton(Not(A))
-        with pytest.raises(ValueError):
-            build_automaton(Finally(A))
+    def test_closure_of_sugar_is_that_of_its_normal_form(self):
+        assert build_automaton(Not(A)).states == (Neq(Const("a"), Const("a")),)
+        until = Until(TRUE_ATOM, A)
+        assert build_automaton(Finally(A)).states == (until, TRUE_ATOM, A)
 
     @given(strategies.formulas())
     def test_closure_no_larger_than_node_count(self, formula):
@@ -495,6 +511,13 @@ class TestWellFormed:
     def test_rejects_unbound(self):
         with pytest.raises(UnboundVariableError):
             ensure_well_formed(Eq(Var("x"), Const("v")))
+
+    def test_errors_come_in_text_order(self):
+        # A scope error left of a non-formula wins; right of it, the TypeError does.
+        with pytest.raises(UnboundVariableError):
+            ensure_well_formed(And(Eq(Var("x"), Const("a")), Var("y")))
+        with pytest.raises(TypeError):
+            ensure_well_formed(And(Var("y"), Eq(Var("x"), Const("a"))))
 
     def test_rejects_shadowing(self):
         path = Path(("m", "a"))
