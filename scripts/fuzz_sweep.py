@@ -35,12 +35,10 @@ def run_cell(seed: int, count: int, depth: int, quantifiers: int) -> tuple[cli.E
         f"{depth:>5} {quantifiers:>5} {agreements:>5}/{len(cases):<3}"
         f" {sizes:>22} {elapsed:>7.2f}s"
     )
-    status = cli.ExitStatus.TRUE
-    if any(not case.agree and not case.limit_states for case in cases):
-        status = cli.ExitStatus.FALSE
+    status = cli.fuzz_status(cases)
+    if status is cli.ExitStatus.FALSE:
         row += "  <- disagreement"
-    elif any(case.limit_states for case in cases):
-        status = cli.ExitStatus.ERROR
+    elif status is cli.ExitStatus.ERROR:
         row += "  <- over the state limit"
     return status, row
 

@@ -4,9 +4,9 @@ oracle_eval decides satisfaction by brute force straight from the
 temporal unfolding laws: per subformula and valuation it computes the
 set of canonical positions where the formula holds, taking Until as a
 least and Release as a greatest fixpoint over that finite position
-space.  It shares with the automaton route only the input layer:
-value_of, dom, canonical_position, position_message, and the scope
-errors of ensure_well_formed; never the normal form or the automaton.
+space.  It shares with the automaton route only the input layer
+(value_of, dom, canonical_position, position_message); its scope check
+runs ensure_well_formed's lowering walk but reads none of its output.
 
 lasso_accepts decides acceptance of the compiled automaton on
 (canonical position, obligation) pairs.  The automaton is very weak,

@@ -18,7 +18,7 @@ What a state does on a message is fixed when the automaton is built,
 so each state is compiled once, when a transition first needs it, into
 a rule that closes over its operands' rules, successor references,
 quantified variables and paths; a transition hashes no formula.  Each
-path's domain is extracted once per message.
+quantifier extracts its path's domain once per message.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from .formula import (
     Neq,
     Next,
     Or,
-    Path,
     Release,
     Term,
     Until,
@@ -131,10 +130,9 @@ class Automaton:
 
     The state table is its normal form's closure in first-visit order, and
     state references are indices into it.  Construction is pure and the
-    table never changes.  Two caches never show in what delta returns:
-    each state's rule, kept from its first use, and the domains of the
-    last message, kept in one tuple with it, so that threads never mix
-    two messages' domains.
+    table never changes.  One cache never shows in what delta returns:
+    each state's rule, kept from its first use.  A quantifier's rule
+    keeps its own path's domain of the last message it read.
     """
 
     def __init__(self, source: Formula):
@@ -144,7 +142,6 @@ class Automaton:
         # The source's normal form is the closure's first member.
         self.initial: Obligation = (EMPTY_VALUATION, 0)
         self._rules: list = [None] * len(self.states)
-        self._last: tuple[Message | None, dict[Path, frozenset[str]]] = (None, {})
 
     def delta(self, valuation: Valuation, state: int, message: Message) -> Dnf:
         """One-step obligation rewrite against a message, normalized.
@@ -152,20 +149,10 @@ class Automaton:
         The valuation binds the state's free variables, as it does in
         every obligation reachable from the initial one: the source is
         well formed, so no quantifier rebinds a variable.  Pure provided
-        no message is mutated once delta has seen it, as each path's
-        domain is extracted once per message object.
+        no message is mutated once delta has seen it, as each quantifier
+        extracts its path's domain once per message object.
         """
         return frozenset(_normalize((self._rules[state] or self._rule(state))(valuation, message)))
-
-    def _domain(self, message: Message, path: Path) -> frozenset[str]:
-        last, domains = self._last
-        if last is not message:
-            domains = {}
-            self._last = (message, domains)
-        domain = domains.get(path)
-        if domain is None:
-            domain = domains[path] = dom(message, path)
-        return domain
 
     def _rule(self, ref: int):
         """The state's rule, compiled on first use over its operands' rules."""
@@ -190,10 +177,17 @@ class Automaton:
         if kind is Exists or kind is Forall:
             var, path, body = f
             body_ref = self._refs[body]
+            # The last message read and its domain, replaced as one
+            # tuple so that threads never mix two messages' domains.
+            last: tuple[Message | None, frozenset[str]] = (None, frozenset())
 
             def bodies(p: Valuation, m: Message) -> list[list[Conjunct]]:
+                nonlocal last
+                seen, values = last
+                if seen is not m:
+                    values = dom(m, path)
+                    last = (m, values)
                 # The body is needed, and so compiled, once a value binds.
-                values = self._domain(m, path)
                 if not values:
                     return []
                 body_rule = self._rules[body_ref] or self._rule(body_ref)

@@ -109,8 +109,8 @@ def cmd_accept(args) -> ExitStatus:
 
 
 def cmd_oracle(args) -> ExitStatus:
-    # The semantics-direct route; takes the formula as written, without
-    # normal-form rewriting: it shares only the input layer with cmd_accept.
+    # The semantics-direct route, on the formula as written; its scope
+    # check runs the lowering walk but reads none of its output.
     holds = oracle_eval(EMPTY_VALUATION, load_formula(args.formula), _load_lasso_file(args.lasso))
     print(f"RESULT {'TRUE' if holds else 'FALSE'}")
     return ExitStatus.TRUE if holds else ExitStatus.FALSE
@@ -135,6 +135,13 @@ def fuzz_report_lines(cases: list[FuzzCase]) -> list[str]:
     return lines
 
 
+def fuzz_status(cases: list[FuzzCase]) -> ExitStatus:
+    """FALSE on any disagreement, else ERROR if any case hit the state limit, else TRUE."""
+    if any(not case.agree and not case.limit_states for case in cases):
+        return ExitStatus.FALSE
+    return ExitStatus.ERROR if any(case.limit_states for case in cases) else ExitStatus.TRUE
+
+
 def cmd_fuzz(args) -> ExitStatus:
     bounds = GenBounds(max_depth=args.max_depth, max_quantifiers=args.max_quant)
     started = time.perf_counter()
@@ -146,9 +153,7 @@ def cmd_fuzz(args) -> ExitStatus:
         mean = sum(states) / len(states)
         print(f"STATES min={min(states)} max={max(states)} mean={mean:.2f}", file=sys.stderr)
     print(f"TIME total={time.perf_counter() - started:.3f}s", file=sys.stderr)
-    if any(not case.agree and not case.limit_states for case in cases):
-        return ExitStatus.FALSE
-    return ExitStatus.ERROR if any(case.limit_states for case in cases) else ExitStatus.TRUE
+    return fuzz_status(cases)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -88,8 +88,9 @@ class Path(Record, namedtuple("Path", "segments")):  # segments: tuple[str, ...]
     __slots__ = ()
 
     def __new__(cls, segments: tuple[str, ...]) -> Path:
-        if not segments or any(not s for s in segments):
-            raise ValueError("path needs at least one non-empty segment")
+        # A "/" inside a segment would print as two segments.
+        if not segments or any(not s or "/" in s for s in segments):
+            raise ValueError("path needs at least one non-empty segment, none holding /")
         return super().__new__(cls, segments)
 
     def __str__(self) -> str:

@@ -47,7 +47,6 @@ _KNOBS = {
     "max_quantifiers": 2,  # per formula
     "max_prefix": 4,
     "max_loop": 3,
-    "max_trace": 6,  # finite traces for monitoring corpora
     "size_budget": 12,  # soft cap on formula nodes
 }
 
@@ -63,7 +62,7 @@ def case_rng(seed: int, tag: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{tag}:{index}")
 
 
-def gen_message(rng: random.Random, bounds: GenBounds) -> Message:
+def gen_message(rng: random.Random) -> Message:
     def leaf_or_list(limit: int):
         picks = [rng.choice(VALUES) for _ in range(rng.randint(1, limit))]
         return picks[0] if len(picks) == 1 else picks
@@ -79,14 +78,14 @@ def gen_message(rng: random.Random, bounds: GenBounds) -> Message:
     return message_from_obj({"m": body})
 
 
-def gen_finite_trace(rng: random.Random, bounds: GenBounds) -> tuple[Message, ...]:
-    length = rng.randint(1, bounds.max_trace)
-    return tuple(gen_message(rng, bounds) for _ in range(length))
+def gen_finite_trace(rng: random.Random) -> tuple[Message, ...]:
+    """One to six messages, for monitoring corpora."""
+    return tuple(gen_message(rng) for _ in range(rng.randint(1, 6)))
 
 
 def gen_lasso(rng: random.Random, bounds: GenBounds) -> LassoTrace:
-    prefix = tuple(gen_message(rng, bounds) for _ in range(rng.randint(0, bounds.max_prefix)))
-    loop = tuple(gen_message(rng, bounds) for _ in range(rng.randint(1, bounds.max_loop)))
+    prefix = tuple(gen_message(rng) for _ in range(rng.randint(0, bounds.max_prefix)))
+    loop = tuple(gen_message(rng) for _ in range(rng.randint(1, bounds.max_loop)))
     return LassoTrace(prefix=prefix, loop=loop)
 
 

@@ -122,7 +122,7 @@ def test_criterion_6_impartial_monitoring():
     while sum(decided.values()) < 100 and attempt < 500:
         rng = case_rng(7, "impartial", attempt)
         formula = gen_formula(rng, bounds)
-        trace = gen_finite_trace(rng, bounds)
+        trace = gen_finite_trace(rng)
         verdicts = monitor_trace(formula, trace)
         final = verdicts[-1] if verdicts else Verdict.INCONCLUSIVE
         if final is not Verdict.INCONCLUSIVE:
@@ -169,12 +169,11 @@ def test_criterion_7_vacuous_quantification():
 def test_criterion_8_verdict_finality():
     started = time.perf_counter()
     automaton = build_automaton(to_nnf(parse('G exists x in "/m/a" : x = "a"')))
-    bounds = GenBounds()
     settled_true = Configuration(Disjunction(TRUE_DNF))
     settled_false = Configuration(Disjunction(FALSE_DNF))
     ok = True
     for index in range(1000):
-        message = gen_message(case_rng(3, "stress", index), bounds)
+        message = gen_message(case_rng(3, "stress", index))
         settled_true = step(automaton, settled_true, message)
         settled_false = step(automaton, settled_false, message)
         ok = ok and settled_true.dnf.conjuncts == TRUE_DNF and settled_false.dnf.conjuncts == FALSE_DNF

@@ -16,7 +16,7 @@ from foltl.automaton import (
     value_of,
 )
 from foltl.acceptance import oracle_eval
-from foltl.events import LassoTrace, parse_message
+from foltl.events import LassoTrace, dom, message_from_obj, parse_message
 from foltl.formula import (
     And,
     Const,
@@ -42,6 +42,7 @@ from foltl.formula import (
     temporal_depth,
     to_nnf,
 )
+from foltl.monitor import Verdict, initial_configuration, step, verdict
 
 A = Eq(Const("a"), Const("a"))
 B = Eq(Const("b"), Const("b"))
@@ -472,6 +473,30 @@ class TestDelta:
         assert len(_reachable(auto, [AB, AB, AB])) > 2
         assert sorted(compiled) == sorted(set(compiled))
         assert auto.states.index(Eq(Var("x"), Const("b"))) in compiled
+
+    def test_each_quantifier_extracts_its_domain_once_per_message(self, monkeypatch):
+        # Thirty pending requests each rewrite the ack quantifier on every
+        # message; its path is still extracted once, like /m/req and /m/a.
+        # A rule that extracted on every read would make 33 extractions.
+        extracted = []
+        monkeypatch.setattr(
+            "foltl.automaton.dom", lambda message, path: extracted.append(path) or dom(message, path)
+        )
+        auto = build_automaton(parse(
+            '(G forall x in "/m/req" : F exists y in "/m/ack" : y = x) '
+            '& G forall z in "/m/a" : z != "c"'
+        ))
+        config = initial_configuration(auto)
+        per_message = []
+        for i in range(40):
+            body = {"req": f"{i:08x}", "a": "b"}
+            if i >= 30:
+                body["ack"] = f"{i - 30:08x}"
+            before = len(extracted)
+            config = step(auto, config, message_from_obj({"m": body}))
+            per_message.append(len(extracted) - before)
+        assert verdict(config) is Verdict.INCONCLUSIVE
+        assert per_message[-10:] == [3] * 10
 
 
 def _reachable(auto, messages):

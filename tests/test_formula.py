@@ -293,11 +293,13 @@ class TestRecords:
             Path(())
         with pytest.raises(ValueError):
             Path(segments=("m", ""))
+        with pytest.raises(ValueError):
+            Path(("m", "a/b"))
         with pytest.raises(EmptyLoopError):
             LassoTrace(prefix=(), loop=())
 
     def test_keywords_and_defaults(self):
-        assert GenBounds(max_depth=4) == GenBounds(4, 2, 4, 3, 6, 12)
+        assert GenBounds(max_depth=4) == GenBounds(4, 2, 4, 3, 12)
         assert GenBounds().size_budget == 12
         trace = LassoTrace(prefix=(), loop=(parse_message('{"m":{}}'),))
         case = FuzzCase(
