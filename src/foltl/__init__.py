@@ -37,7 +37,6 @@ from .formula import (
     ShadowedVariableError,
     UnboundVariableError,
     format_formula,
-    negate,
     parse,
     temporal_depth,
     to_nnf,

@@ -2,17 +2,17 @@
 
 States are the closure of the formula's normal form, and the accepting
 states are its Release members.  One walk, ensure_well_formed, lowers
-the formula, checks scoping and numbers the states.  A transition maps
-an obligation (variable valuation, state) and a message to a positive
-boolean combination of successor obligations, built directly in
-disjunctive normal form: a plain frozenset of conjuncts, each a
-frozenset of obligations, none a subset of another.  Atoms that hold
-become the empty conjunct and atoms that fail the empty disjunction,
-so true and false are transition formulas, never states.  Quantifiers
-expand over the value domain the current message yields for their
-path, so the automaton stays finite-state while valuations live inside
-obligations; a reachable obligation's valuation binds its state's free
-variables and none that the state quantifies again.
+the formula, checks scoping and lists the nodes; the automaton numbers
+them.  A transition maps an obligation (variable valuation, state) and a
+message to a positive boolean combination of successor obligations,
+built directly in disjunctive normal form: a plain frozenset of
+conjuncts, each a frozenset of obligations, none a subset of another.
+Atoms that hold become the empty conjunct and atoms that fail the empty
+disjunction, so true and false are transition formulas, never states.
+Quantifiers expand over the value domain the current message yields for
+their path, so the automaton stays finite-state while valuations live
+inside obligations; a reachable obligation's valuation binds its state's
+free variables and none that the state quantifies again.
 
 What a state does on a message is fixed when the automaton is built,
 so each state is compiled once, when a transition first needs it, into
@@ -126,7 +126,7 @@ def _never(p: Valuation, m: Message) -> list[Conjunct]:
 
 
 class Automaton:
-    """Alternating automaton for a formula as written; negate it with Not.
+    """Alternating automaton for a formula as written; for its negation, wrap it in Not.
 
     The state table is its normal form's closure in first-visit order, and
     state references are indices into it.  Construction is pure and the
@@ -136,7 +136,9 @@ class Automaton:
     """
 
     def __init__(self, source: Formula):
-        self._refs = ensure_well_formed(source)
+        self._refs = refs = {}
+        for f in ensure_well_formed(source):
+            refs.setdefault(f, len(refs))  # each state hashed once
         self.states: tuple[Formula, ...] = tuple(self._refs)
         self.accepting = frozenset(ref for ref, f in enumerate(self.states) if type(f) is Release)
         # The source's normal form is the closure's first member.

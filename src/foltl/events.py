@@ -130,6 +130,10 @@ def _decode(text: str, line: int) -> object:
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise MalformedInputError(line, f"invalid JSON: {err.msg}") from err
+    except MalformedInputError:
+        raise
+    except ValueError as err:  # an integer longer than sys.get_int_max_str_digits()
+        raise MalformedInputError(line, f"invalid JSON: {err}") from err
     except RecursionError:
         raise MalformedInputError(line, _TOO_DEEP) from None
 

@@ -12,9 +12,9 @@ only to a record of their own kind, so ``Eq(a, b) != Neq(a, b)``.
 
 A node's subformulas are its fields that are formulas; ``children``
 reads them for the measures.  One walk, on exact type, lowers a formula
-to normal form, checks its scoping and numbers the closure of the
-result: ``to_nnf``, ``negate`` and ``ensure_well_formed`` each keep
-what they need of it.  It expands each abbreviation from one table,
+to normal form, checks its scoping and lists the result's nodes in
+first-visit order; ``to_nnf`` keeps the normal form, ``ensure_well_formed``
+the first error or the nodes.  It expands each abbreviation from one table,
 stated in positive polarity only, so De Morgan lives in ``_DUAL`` alone.
 ``format_formula`` matches each node kind explicitly, because it states
 its meaning.  The lexer sorts the matches of one regular expression.
@@ -215,6 +215,11 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
+def _is_name(text: str) -> bool:
+    """Whether _tokenize reads text back as one variable name; \\w is alphanumeric or _."""
+    return (w := text.replace("_", "a")).isalnum() and w[0].isalpha() and text not in KEYWORDS
+
+
 MAX_NESTING = 100
 _UNARY = {"G": Globally, "F": Finally, "X": Next, "!": Not}
 # Binary precedence levels, loosest first; every level is right associative.
@@ -382,18 +387,12 @@ _LOWERED = {
 }
 
 
-def _lower(formula: Formula, scope: frozenset[str]) -> tuple[Formula, list[Formula], list[FormulaError]]:
-    """The normal form of formula, its nodes in first-visit order, and the
-    scope errors in text order.  Not flips the polarity; a node is rebuilt,
-    as its _DUAL if negated, only if an operand changed (all of a negated
-    node's do).  A non-formula raises the first error before it, or TypeError."""
-    order: list[Formula] = []
-    errors: list[FormulaError] = []
-    return _walk(formula, False, scope, order, errors), order, errors
-
-
 def _walk(f: Formula, negated: bool, scope: frozenset[str], order: list[Formula], errors: list) -> Formula:
-    """One node of _lower's walk, with everything below it."""
+    """The normal form of f, or of its negation if negated; appends its
+    nodes to order in first-visit order and its scope errors to errors in
+    text order.  Not flips the polarity; a node is rebuilt, as its _DUAL
+    if negated, only if an operand changed (all of a negated node's do).
+    A non-formula raises the first error before it, or TypeError."""
     kind = type(f)
     if kind is Not:
         return _walk(f.body, not negated, scope, order, errors)
@@ -413,6 +412,8 @@ def _walk(f: Formula, negated: bool, scope: frozenset[str], order: list[Formula]
     elif kind is Exists or kind is Forall:
         if f.var in scope:
             errors.append(ShadowedVariableError(f.var))
+        elif not _is_name(f.var):
+            errors.append(FormulaError(f"quantifier variable {f.var!r} would not parse as a variable name"))
         lowered = _walk(f.body, negated, scope | {f.var}, order, errors)
         if lowered is not f.body:
             f = kind(f.var, f.path, lowered)
@@ -436,30 +437,23 @@ def to_nnf(formula: Formula) -> Formula:
     the two quantifiers.  Boolean literals become the self-evident atoms
     "true" = "true" and "true" != "true".  Open formulas are lowered too.
     """
-    return _lower(formula, frozenset())[0]
-
-
-def negate(formula: Formula) -> Formula:
-    """Negation, returned in negation normal form."""
-    return _lower(Not(formula), frozenset())[0]
+    return _walk(formula, False, frozenset(), [], [])
 
 
 def ensure_well_formed(
     formula: Formula, scope: frozenset[str] = frozenset()
-) -> dict[Formula, int]:
+) -> list[Formula]:
     """Raise the first scope error in text order unless every variable is
-    bound exactly once on its branch; return the closure of the normal
-    form, each member numbered in first-visit order: the normal form is
-    member 0, atoms add only themselves, the other kinds their operands.
-    Equal subtrees share a number, but each is visited: it may sit in
-    another scope."""
-    _, order, errors = _lower(formula, scope)
+    bound exactly once on its branch, by a name the lexer reads back;
+    return the normal form's nodes in first-visit order: the normal form
+    first, atoms adding only themselves, the other kinds their operands.
+    Equal subtrees repeat, since each may sit in another scope."""
+    order: list[Formula] = []
+    errors: list[FormulaError] = []
+    _walk(formula, False, scope, order, errors)
     if errors:
         raise errors[0]
-    members: dict[Formula, int] = {}
-    for f in order:
-        members.setdefault(f, len(members))  # each member hashed once
-    return members
+    return order
 
 
 def children(formula: Formula) -> tuple[Formula, ...]:

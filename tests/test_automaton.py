@@ -22,6 +22,7 @@ from foltl.formula import (
     Const,
     Eq,
     Exists,
+    FormulaError,
     Neq,
     Next,
     Not,
@@ -36,7 +37,6 @@ from foltl.formula import (
     children,
     ensure_well_formed,
     format_formula,
-    negate,
     node_count,
     parse,
     temporal_depth,
@@ -269,8 +269,8 @@ class TestConstruction:
         assert auto.accepting == normal.accepting
 
     @given(strategies.formulas())
-    def test_negation_builds_as_negate(self, formula):
-        auto, negated = Automaton(Not(formula)), Automaton(negate(formula))
+    def test_negation_builds_as_its_normal_form(self, formula):
+        auto, negated = Automaton(Not(formula)), Automaton(to_nnf(Not(formula)))
         assert auto.states == negated.states
         assert auto.accepting == negated.accepting
 
@@ -309,6 +309,15 @@ class TestConstruction:
             Automaton(And(FREE_X, REBOUND))
         with pytest.raises(ShadowedVariableError):
             Automaton(And(REBOUND, FREE_X))
+        # A binder that would not parse back as a variable name is refused where it stands.
+        for name in ("x y", "1x", "", "G", "in"):
+            unreadable = Exists(name, Path(("m", "a")), Eq(Var(name), Const("a")))
+            for check in (ensure_well_formed, Automaton, lambda f: oracle_eval(EMPTY_VALUATION, f, LOOP_AB)):
+                with pytest.raises(FormulaError) as err:
+                    check(And(unreadable, FREE_X))
+                assert type(err.value) is FormulaError, name
+                with pytest.raises(UnboundVariableError):
+                    check(And(FREE_X, unreadable))
 
     def test_equal_subtree_is_checked_in_each_scope(self):
         # Only the second occurrence of INNER rebinds x.

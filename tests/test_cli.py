@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -25,6 +26,8 @@ BAD = str(DATA / "bad.lasso.json")
 MIXED = str(DATA / "mixed.jsonl")
 SRC = str(DATA.parents[1] / "src")
 DEEP = '{"m":' * 1200 + '"x"' + "}" * 1200
+# One digit past the default limit of int(str) conversion, which json.loads hits.
+LONG_INT = "1" * 4301
 
 
 class TestLoadFormula:
@@ -117,6 +120,12 @@ class TestMonitor:
         assert main(["monitor", "--formula", WITNESS, "--trace", str(trace)]) == 3
         assert capsys.readouterr().err == "error: line 2: JSON nests too deeply\n"
 
+    def test_long_integer_line_is_an_error_exit(self, tmp_path):
+        trace = tmp_path / "long.jsonl"
+        trace.write_text('{"m":{}}\n{"m":' + LONG_INT + "}\n")
+        argv = ["monitor", "--formula", WITNESS, "--trace", str(trace)]
+        assert _assert_contract(argv) == 3
+
     def test_duplicate_key_is_an_error_exit(self, tmp_path, capsys):
         # Keeping the last value would make this formula TRUE on half a message.
         formula = tmp_path / "all_c.ltl"
@@ -170,6 +179,12 @@ class TestAcceptAndOracle:
         lasso.write_text('{"prefix":[],"loop":[' + DEEP + "]}")
         assert main(["accept", "--formula", REQ_ACK, "--lasso", str(lasso)]) == 3
         assert capsys.readouterr().err == "error: line 0: JSON nests too deeply\n"
+
+    def test_long_integer_lasso_is_an_error_exit(self, tmp_path):
+        lasso = tmp_path / "long.lasso.json"
+        lasso.write_text('{"prefix":[],"loop":[{"m":' + LONG_INT + "}]}")
+        for command in ("accept", "oracle"):
+            assert _assert_contract([command, "--formula", REQ_ACK, "--lasso", str(lasso)]) == 3
 
     def test_prefix_not_an_array_is_an_error_exit(self, tmp_path, capsys):
         lasso = tmp_path / "object-prefix.lasso.json"
@@ -320,7 +335,7 @@ class TestExitCodeContract:
     """Mutated copies of the shipped inputs, run in-process through main."""
 
     @settings(max_examples=150)
-    @given(st.sampled_from(FORMULAS).flatmap(lambda path: mutations(open(path, "rb").read())))
+    @given(st.sampled_from(FORMULAS).flatmap(lambda path: mutations(pathlib.Path(path).read_bytes())))
     def test_mutated_formula(self, scratch, text):
         formula = scratch / "mutated.ltl"
         formula.write_bytes(text)
@@ -333,14 +348,14 @@ class TestExitCodeContract:
             _assert_contract([command, "--formula", str(formula), *rest])
 
     @settings(max_examples=150)
-    @given(st.sampled_from(FORMULAS), mutations(open(MIXED, "rb").read()))
+    @given(st.sampled_from(FORMULAS), mutations(pathlib.Path(MIXED).read_bytes()))
     def test_mutated_trace(self, scratch, formula, text):
         trace = scratch / "mutated.jsonl"
         trace.write_bytes(text)
         _assert_contract(["monitor", "--formula", formula, "--trace", str(trace)])
 
     @settings(max_examples=150)
-    @given(st.sampled_from(FORMULAS), mutations(open(GOOD, "rb").read()))
+    @given(st.sampled_from(FORMULAS), mutations(pathlib.Path(GOOD).read_bytes()))
     def test_mutated_lasso(self, scratch, formula, text):
         lasso = scratch / "mutated.lasso.json"
         lasso.write_bytes(text)

@@ -36,7 +36,6 @@ from foltl.formula import (
     children,
     ensure_well_formed,
     format_formula,
-    negate,
     node_count,
     parse,
     temporal_depth,
@@ -395,7 +394,7 @@ class TestNormalForm:
             with pytest.raises(TypeError):
                 to_nnf(value)
             with pytest.raises(TypeError):
-                negate(value)
+                to_nnf(Not(value))
 
     def test_walk_leaves_no_garbage_cycle(self):
         # No call leaves a cycle behind: reference counting alone frees
@@ -406,7 +405,7 @@ class TestNormalForm:
         try:
             for _ in range(10):
                 to_nnf(formula)
-                negate(formula)
+                to_nnf(Not(formula))
                 ensure_well_formed(formula)
             assert gc.collect() == 0
         finally:
@@ -435,7 +434,7 @@ class TestNormalForm:
 
     @given(strategies.formulas())
     def test_negate_involution(self, formula):
-        assert negate(negate(formula)) == to_nnf(formula)
+        assert to_nnf(Not(to_nnf(Not(formula)))) == to_nnf(formula)
 
     @given(strategies.formulas())
     def test_temporal_depth_preserved(self, formula):

@@ -14,7 +14,7 @@ import pytest
 from foltl.acceptance import lasso_accepts
 from foltl.automaton import build_automaton
 from foltl.events import lasso_to_json
-from foltl.formula import format_formula, negate, to_nnf
+from foltl.formula import Not, format_formula, to_nnf
 from foltl.gen import GenBounds, case_rng, gen_formula, gen_lasso
 from foltl.monitor import initial_configuration, step
 
@@ -92,7 +92,7 @@ def test_seed_42_state_tables_are_unchanged(depth, quantifiers):
     assert digest.hexdigest() == STATE_TABLE_SHA256[depth, quantifiers]
 
 
-# sha256 over format_formula(to_nnf(f)) and format_formula(negate(f)),
+# sha256 over format_formula(to_nnf(f)) and format_formula(to_nnf(Not(f))),
 # one line each per case: d4q3 cases 0 to 999, and 300 cases at bounds
 # whose formulas reach about 60 nodes.
 NNF_SHA256 = {
@@ -107,7 +107,7 @@ def test_seed_42_normal_forms_are_unchanged(depth, quantifiers, size, count):
     digest = hashlib.sha256()
     for index in range(count):
         formula = gen_formula(case_rng(42, "case", index), bounds)
-        digest.update(f"{format_formula(to_nnf(formula))}\n{format_formula(negate(formula))}\n".encode())
+        digest.update(f"{format_formula(to_nnf(formula))}\n{format_formula(to_nnf(Not(formula)))}\n".encode())
     assert digest.hexdigest() == NNF_SHA256[depth, quantifiers, size, count]
 
 

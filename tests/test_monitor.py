@@ -12,8 +12,8 @@ from hypothesis import given
 import strategies
 from foltl.acceptance import lasso_accepts, oracle_eval
 from foltl.automaton import EMPTY_VALUATION, FALSE_DNF, TRUE_DNF, build_automaton
-from foltl.events import load_trace, message_from_obj
-from foltl.formula import negate, parse, to_nnf
+from foltl.events import LassoTrace, load_trace, message_from_obj
+from foltl.formula import Not, parse, to_nnf
 from foltl.gen import GenBounds, case_rng, gen_formula, gen_lasso
 from foltl.monitor import (
     Configuration,
@@ -126,7 +126,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 _COUNT_DELTA_CALLS = """
 from foltl.automaton import Automaton
 from foltl.events import message_from_obj
-from foltl.formula import negate, parse, to_nnf
+from foltl.formula import parse, to_nnf
 from foltl.monitor import initial_configuration, step, verdict
 
 calls = 0
@@ -223,6 +223,32 @@ class TestLassoCrossCheck:
         assert decided >= 200
 
 
+class TestDecidedVerdictExtensions:
+    """A decided verdict after message j of u = prefix + loop claims every
+    infinite extension of u[:j+1]; the oracle checks it on 8 random lassos
+    u[:j+1] + v, w, drawn per decided position from the case's "ext" stream."""
+
+    @pytest.mark.parametrize("depth,quantifiers", [(3, 2), (4, 3)])
+    def test_decided_verdicts_hold_on_random_extensions(self, depth, quantifiers):
+        bounds = GenBounds(max_depth=depth, max_quantifiers=quantifiers)
+        decided = 0
+        for index in range(300):
+            rng = case_rng(42, "case", index)
+            formula = gen_formula(rng, bounds)
+            lasso = gen_lasso(rng, bounds)
+            u = lasso.prefix + lasso.loop
+            extensions = case_rng(42, "ext", index)
+            for j, found in enumerate(monitor_trace(formula, u)):
+                if found is Verdict.INCONCLUSIVE:
+                    continue
+                decided += 1
+                for _ in range(8):
+                    v, w = gen_lasso(extensions, bounds)
+                    extended = LassoTrace(u[: j + 1] + v, w)
+                    assert oracle_eval(EMPTY_VALUATION, formula, extended) is (found is Verdict.TRUE), (index, j)
+        assert decided >= 900
+
+
 class TestNegationDuality:
     """A metamorphic relation, needing no oracle: at every position the
     verdict on the negation is the verdict on the formula with TRUE and
@@ -239,4 +265,4 @@ class TestNegationDuality:
             lasso = gen_lasso(rng, bounds)
             trace = lasso.prefix + lasso.loop * 3
             expected = [self.SWAP[v] for v in monitor_trace(formula, trace)]
-            assert monitor_trace(negate(formula), trace) == expected, index
+            assert monitor_trace(to_nnf(Not(formula)), trace) == expected, index
