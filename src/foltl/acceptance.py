@@ -183,18 +183,17 @@ def lasso_accepts(
 
     def wins(position: int, obligation: Obligation) -> bool:
         nonlocal pairs
-        valuation, state = obligation
         walk: dict[int, None] = {}  # positions in visiting order, a revisit found in O(1)
         while (verdict := won.get((position, obligation))) is None:
             if position in walk:
-                verdict = state in automaton.accepting
+                verdict = obligation[1] in automaton.accepting
                 break
             pairs += 1
             if pairs > state_limit:
                 raise ResourceLimitError(pairs)
             walk[position] = None
             after = canonical_position(trace, position + 1)
-            rewrite = automaton.delta(valuation, state, position_message(trace, position))
+            rewrite = automaton.delta(obligation, position_message(trace, position))
             leaves = holds = False
             for conjunct in rewrite:
                 # Decide every obligation, so the pairs decided do not

@@ -3,10 +3,10 @@
 States are the closure of the formula's normal form, and the accepting
 states are its Release members.  One walk, ensure_well_formed, lowers
 the formula, checks scoping and lists the nodes; the automaton numbers
-them.  A transition maps an obligation (variable valuation, state) and a
-message to a positive boolean combination of successor obligations,
-built directly in disjunctive normal form: a plain frozenset of
-conjuncts, each a frozenset of obligations, none a subset of another.
+them.  The transition delta maps an obligation, a (variable valuation,
+state) pair, and a message to a positive boolean combination of
+successor obligations, a Dnf: a plain frozenset of conjuncts, each a
+frozenset of obligations, none a subset of another.
 Atoms that hold become the empty conjunct and atoms that fail the empty
 disjunction, so true and false are transition formulas, never states.
 Quantifiers expand over the value domain the current message yields for
@@ -17,12 +17,13 @@ free variables and none that the state quantifies again.
 What a state does on a message is fixed when the automaton is built,
 so each state is compiled once, when a transition first needs it, into
 a rule that closes over its operands' rules, successor references,
-quantified variables and paths; a transition hashes no formula.  Each
+quantified variables and paths; a transition hashes no formula.  Every
+rule returns a Dnf, which delta reduces to an antichain.  Each
 quantifier extracts its path's domain once per message.
 """
 from __future__ import annotations
 
-from typing import Collection, Iterable
+from typing import AbstractSet, Iterable
 
 from .events import Message, dom
 from .formula import (
@@ -69,60 +70,51 @@ Conjunct = frozenset[Obligation]
 Dnf = frozenset[Conjunct]
 
 
-def _normalize(conjuncts: Iterable[Conjunct]) -> list[Conjunct]:
+TRUE_DNF: Dnf = frozenset({frozenset()})
+FALSE_DNF: Dnf = frozenset()
+
+
+def _normalize(conjuncts: AbstractSet[Conjunct]) -> Dnf:
     # Visiting by size first makes one subset pass produce the antichain.
     kept: list[Conjunct] = []
-    for candidate in sorted(set(conjuncts), key=len):
+    for candidate in sorted(conjuncts, key=len):
         if not any(existing <= candidate for existing in kept):
             kept.append(candidate)
-    return kept
+    return frozenset(kept)
 
 
-def _conjoin(operands: Iterable[Collection[Conjunct]]) -> list[Conjunct]:
-    """Conjunction of disjunctions of conjuncts, as an antichain.
+def dnf_or(dnfs: Iterable[Dnf]) -> Dnf:
+    return _normalize({c for d in dnfs for c in d})
+
+
+def dnf_and(dnfs: Iterable[Dnf]) -> Dnf:
+    """Conjunction of DNFs, as an antichain.
 
     Operands with a single conjunct fold into one base conjunct first;
     only the operands with several conjuncts distribute over it,
     normalizing after each.  An empty operand makes the whole FALSE.
     """
     base: set[Obligation] = set()
-    several: list[Collection[Conjunct]] = []
-    for conjuncts in operands:
-        if len(conjuncts) == 1:
-            base.update(*conjuncts)
-        elif conjuncts:
-            several.append(conjuncts)
+    several: list[Dnf] = []
+    for dnf in dnfs:
+        if len(dnf) == 1:
+            base.update(*dnf)
+        elif dnf:
+            several.append(dnf)
         else:
-            return []
-    acc = [frozenset(base)]
-    for conjuncts in several:
-        acc = _normalize(a | b for a in acc for b in conjuncts)
+            return FALSE_DNF
+    acc = frozenset({frozenset(base)})
+    for dnf in several:
+        acc = _normalize({a | b for a in acc for b in dnf})
     return acc
 
 
-TRUE_DNF: Dnf = frozenset({frozenset()})
-FALSE_DNF: Dnf = frozenset()
+def _always(p: Valuation, m: Message) -> Dnf:
+    return TRUE_DNF
 
 
-def dnf_or(dnfs: Iterable[Dnf]) -> Dnf:
-    return frozenset(_normalize(c for d in dnfs for c in d))
-
-
-def dnf_and(dnfs: Iterable[Dnf]) -> Dnf:
-    return frozenset(_conjoin(dnfs))
-
-
-# Rule results are shared, so no rule may mutate the list it gets.
-_HOLDS: list[Conjunct] = [frozenset()]
-_FAILS: list[Conjunct] = []
-
-
-def _always(p: Valuation, m: Message) -> list[Conjunct]:
-    return _HOLDS
-
-
-def _never(p: Valuation, m: Message) -> list[Conjunct]:
-    return _FAILS
+def _never(p: Valuation, m: Message) -> Dnf:
+    return FALSE_DNF
 
 
 class Automaton:
@@ -145,16 +137,17 @@ class Automaton:
         self.initial: Obligation = (EMPTY_VALUATION, 0)
         self._rules: list = [None] * len(self.states)
 
-    def delta(self, valuation: Valuation, state: int, message: Message) -> Dnf:
-        """One-step obligation rewrite against a message, normalized.
+    def delta(self, obligation: Obligation, message: Message) -> Dnf:
+        """One-step rewrite of an obligation against a message, normalized.
 
-        The valuation binds the state's free variables, as it does in
+        The obligation's valuation binds its state's free variables, as in
         every obligation reachable from the initial one: the source is
         well formed, so no quantifier rebinds a variable.  Pure provided
         no message is mutated once delta has seen it, as each quantifier
         extracts its path's domain once per message object.
         """
-        return frozenset(_normalize((self._rules[state] or self._rule(state))(valuation, message)))
+        valuation, state = obligation
+        return _normalize((self._rules[state] or self._rule(state))(valuation, message))
 
     def _rule(self, ref: int):
         """The state's rule, compiled on first use over its operands' rules."""
@@ -164,7 +157,7 @@ class Automaton:
         return rule
 
     def _compile(self, ref: int):
-        """A rule (valuation, message) -> conjuncts; operand refs are hashed here only."""
+        """A rule (valuation, message) -> Dnf; operand refs are hashed here only."""
         f = self.states[ref]
         # Exact-type dispatch: class patterns in a match cost half as much again.
         kind = type(f)
@@ -173,7 +166,7 @@ class Automaton:
             same = kind is Eq
             if type(left) is Var or type(right) is Var:
                 return lambda p, m: (
-                    _HOLDS if (value_of(p, left) == value_of(p, right)) == same else _FAILS
+                    TRUE_DNF if (value_of(p, left) == value_of(p, right)) == same else FALSE_DNF
                 )
             return _always if (left.value == right.value) == same else _never
         if kind is Exists or kind is Forall:
@@ -183,7 +176,7 @@ class Automaton:
             # tuple so that threads never mix two messages' domains.
             last: tuple[Message | None, frozenset[str]] = (None, frozenset())
 
-            def bodies(p: Valuation, m: Message) -> list[list[Conjunct]]:
+            def bodies(p: Valuation, m: Message) -> list[Dnf]:
                 nonlocal last
                 seen, values = last
                 if seen is not m:
@@ -196,25 +189,25 @@ class Automaton:
                 return [body_rule(p | {(var, value)}, m) for value in values]
 
             if kind is Exists:
-                return lambda p, m: [c for conjuncts in bodies(p, m) for c in conjuncts]
-            return lambda p, m: _conjoin(bodies(p, m))
+                return lambda p, m: frozenset().union(*bodies(p, m))
+            return lambda p, m: dnf_and(bodies(p, m))
         if kind is Next:
             later = self._refs[f.body]
-            return lambda p, m: [frozenset({(p, later)})]
+            return lambda p, m: frozenset({frozenset({(p, later)})})
         # The closure holds normal-form kinds only, so what is left is binary.
         first, second = (self._rule(self._refs[g]) for g in f)
         if kind is Or:
-            return lambda p, m: first(p, m) + second(p, m)
+            return lambda p, m: first(p, m) | second(p, m)
         if kind is And:
-            return lambda p, m: _conjoin((first(p, m), second(p, m)))
+            return lambda p, m: dnf_and((first(p, m), second(p, m)))
         # Conjoining a single conjunct adds its obligation to each
         # conjunct; delta's normalization removes what that subsumes.
         if kind is Until:
-            return lambda p, m: second(p, m) + [c | {(p, ref)} for c in first(p, m)]
+            return lambda p, m: second(p, m) | {c | {(p, ref)} for c in first(p, m)}
 
-        def release(p: Valuation, m: Message) -> list[Conjunct]:
+        def release(p: Valuation, m: Message) -> Dnf:
             constraint = second(p, m)
-            return _conjoin((first(p, m), constraint)) + [c | {(p, ref)} for c in constraint]
+            return dnf_and((first(p, m), constraint)) | {c | {(p, ref)} for c in constraint}
 
         return release
 

@@ -50,16 +50,16 @@ def count(text: str) -> int:
 
 
 def load_formula(path: str) -> Formula:
-    """One formula per file; lines whose first character is # are comments.
+    """One formula per file; lines whose first non-blank character is # are comments.
 
     Text mode reads every line break as \\n, so splitting there keeps
-    U+2028 and the other Unicode breaks inside string constants.
+    U+2028 and the other Unicode breaks inside string constants.  Each
+    comment becomes as many spaces, so error offsets count from the file.
     """
     with open(path, encoding="utf-8") as handle:
         lines = [
-            line
+            " " * len(line) if line.lstrip().startswith("#") else line
             for line in handle.read().split("\n")
-            if line.strip() and not line.lstrip().startswith("#")
         ]
     return parse(" ".join(lines))
 

@@ -57,7 +57,7 @@ def step(automaton: Automaton, configuration: Configuration, message: Message) -
     conjunct and an empty disjunction stays empty.
     """
     conjuncts = configuration.dnf.conjuncts
-    rewrites = {o: automaton.delta(o[0], o[1], message) for o in frozenset().union(*conjuncts)}
+    rewrites = {o: automaton.delta(o, message) for o in frozenset().union(*conjuncts)}
     branches = [dnf_and([rewrites[o] for o in conjunct]) for conjunct in conjuncts]
     return Configuration(Disjunction(dnf_or(branches)))
 

@@ -341,18 +341,18 @@ class TestConstruction:
 class TestDelta:
     def test_true_atom(self):
         auto = build_automaton(A)
-        assert auto.delta(EMPTY_VALUATION, 0, STOCK) == TRUE_DNF
+        assert auto.delta(auto.initial, STOCK) == TRUE_DNF
 
     def test_false_atom(self):
         auto = build_automaton(NO)
-        assert auto.delta(EMPTY_VALUATION, 0, STOCK) == FALSE_DNF
+        assert auto.delta(auto.initial, STOCK) == FALSE_DNF
 
     def test_atom_reads_the_valuation(self):
         phi = Exists("x", Path(("m", "a")), Eq(Var("x"), Const("b")))
         auto = build_automaton(phi)
         atom = auto.states.index(Eq(Var("x"), Const("b")))
-        assert auto.delta(frozenset({("x", "b")}), atom, AB) == TRUE_DNF
-        assert auto.delta(frozenset({("x", "a")}), atom, AB) == FALSE_DNF
+        assert auto.delta((frozenset({("x", "b")}), atom), AB) == TRUE_DNF
+        assert auto.delta((frozenset({("x", "a")}), atom), AB) == FALSE_DNF
 
     def test_unbound_variable_raises(self):
         with pytest.raises(UnboundVariableError) as err:
@@ -365,58 +365,58 @@ class TestDelta:
     def test_next_defers_to_the_body(self):
         phi = Next(A)
         auto = build_automaton(phi)
-        got = auto.delta(EMPTY_VALUATION, 0, STOCK)
+        got = auto.delta(auto.initial, STOCK)
         held = (EMPTY_VALUATION, auto.states.index(A))
         assert got == frozenset({frozenset({held})})
 
     def test_until_settles_on_true_right(self):
         auto = build_automaton(Until(NO, A))
-        assert auto.delta(EMPTY_VALUATION, 0, STOCK) == TRUE_DNF
+        assert auto.delta(auto.initial, STOCK) == TRUE_DNF
 
     def test_until_holds_on_true_left(self):
         phi = Until(A, NO)
         auto = build_automaton(phi)
-        got = auto.delta(EMPTY_VALUATION, 0, STOCK)
+        got = auto.delta(auto.initial, STOCK)
         assert got == frozenset({frozenset({(EMPTY_VALUATION, 0)})})
 
     def test_until_fails_when_both_fail(self):
         auto = build_automaton(Until(NO, NO))
-        assert auto.delta(EMPTY_VALUATION, 0, STOCK) == FALSE_DNF
+        assert auto.delta(auto.initial, STOCK) == FALSE_DNF
 
     def test_release_settles_when_both_hold(self):
         auto = build_automaton(Release(A, B))
-        assert auto.delta(EMPTY_VALUATION, 0, STOCK) == TRUE_DNF
+        assert auto.delta(auto.initial, STOCK) == TRUE_DNF
 
     def test_release_holds_on_right_only(self):
         phi = Release(NO, A)
         auto = build_automaton(phi)
-        got = auto.delta(EMPTY_VALUATION, 0, STOCK)
+        got = auto.delta(auto.initial, STOCK)
         assert got == frozenset({frozenset({(EMPTY_VALUATION, 0)})})
 
     def test_release_fails_without_right(self):
         auto = build_automaton(Release(A, NO))
-        assert auto.delta(EMPTY_VALUATION, 0, STOCK) == FALSE_DNF
+        assert auto.delta(auto.initial, STOCK) == FALSE_DNF
 
     def test_exists_witness_decides(self):
         phi = parse('exists x in "/message/stock/name" : x = "stock-1"')
         auto = build_automaton(to_nnf(phi))
-        assert auto.delta(EMPTY_VALUATION, 0, STOCK) == TRUE_DNF
+        assert auto.delta(auto.initial, STOCK) == TRUE_DNF
 
     def test_exists_over_empty_domain_fails(self):
         phi = parse('exists x in "/message/missing" : x = "stock-1"')
         auto = build_automaton(to_nnf(phi))
-        assert auto.delta(EMPTY_VALUATION, 0, STOCK) == FALSE_DNF
+        assert auto.delta(auto.initial, STOCK) == FALSE_DNF
 
     def test_forall_over_empty_domain_holds(self):
         phi = parse('forall x in "/message/missing" : x = "stock-1"')
         auto = build_automaton(to_nnf(phi))
-        assert auto.delta(EMPTY_VALUATION, 0, STOCK) == TRUE_DNF
+        assert auto.delta(auto.initial, STOCK) == TRUE_DNF
 
     def test_exists_spawns_one_branch_per_value(self):
         phi = parse('exists x in "/m/a" : X x = "q"')
         auto = build_automaton(to_nnf(phi))
         atom = auto.states.index(Eq(Var("x"), Const("q")))
-        got = auto.delta(EMPTY_VALUATION, 0, AB)
+        got = auto.delta(auto.initial, AB)
         assert got == frozenset(
             {
                 frozenset({(frozenset({("x", "a")}), atom)}),
@@ -428,7 +428,7 @@ class TestDelta:
         phi = parse('forall x in "/m/a" : X x = "q"')
         auto = build_automaton(to_nnf(phi))
         atom = auto.states.index(Eq(Var("x"), Const("q")))
-        got = auto.delta(EMPTY_VALUATION, 0, AB)
+        got = auto.delta(auto.initial, AB)
         assert got == frozenset(
             {
                 frozenset(
@@ -452,10 +452,8 @@ class TestDelta:
         auto = build_automaton(phi)
         frontier = {auto.initial}
         for message in (first, second, first, copy):
-            rewrites = [auto.delta(valuation, state, message) for valuation, state in frontier]
-            fresh = [
-                build_automaton(phi).delta(valuation, state, message) for valuation, state in frontier
-            ]
+            rewrites = [auto.delta(obligation, message) for obligation in frontier]
+            fresh = [build_automaton(phi).delta(obligation, message) for obligation in frontier]
             assert rewrites == fresh
             frontier = {o for dnf in rewrites for conjunct in dnf for o in conjunct}
         assert len(frontier) > 1
@@ -463,9 +461,9 @@ class TestDelta:
     def test_delta_is_pure(self):
         phi = to_nnf(parse('G exists x in "/m/a" : x = "a"'))
         auto = build_automaton(phi)
-        first = auto.delta(EMPTY_VALUATION, 0, AB)
+        first = auto.delta(auto.initial, AB)
         assert type(first) is frozenset
-        assert auto.delta(EMPTY_VALUATION, 0, AB) == first
+        assert auto.delta(auto.initial, AB) == first
 
     def test_each_state_is_compiled_once(self, monkeypatch):
         # `x = "b"` is an operand of U, of | and of the U under X: one
@@ -514,9 +512,9 @@ def _reachable(auto, messages):
     seen = []
     for message in messages:
         step: set = set()
-        for valuation, state in sorted(frontier, key=lambda o: (o[1], sorted(o[0]))):
-            dnf = auto.delta(valuation, state, message)
-            seen.append(((valuation, state), dnf))
+        for obligation in sorted(frontier, key=lambda o: (o[1], sorted(o[0]))):
+            dnf = auto.delta(obligation, message)
+            seen.append((obligation, dnf))
             for conjunct in dnf:
                 step.update(conjunct)
         frontier = step

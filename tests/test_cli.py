@@ -35,6 +35,14 @@ class TestLoadFormula:
         formula = load_formula(REQ_ACK)
         assert formula == parse('G forall x in "/m/req" : F exists y in "/m/ack" : y = x')
 
+    def test_syntax_error_offset_counts_from_the_file(self, tmp_path, capsys):
+        text = '# a comment line\n\n  G forall x "/m/a" : x = "a"\n'
+        bad = tmp_path / "broken.ltl"
+        bad.write_text(text)
+        assert main(["compile", "--formula", str(bad)]) == 3
+        offset = text.index('"/m/a"')  # where "in" is missing
+        assert f"at offset {offset}:" in capsys.readouterr().err
+
     def test_missing_file_is_an_error_exit(self, capsys):
         assert main(["compile", "--formula", "/nonexistent.ltl"]) == 3
         assert capsys.readouterr().err.startswith("error:")

@@ -45,14 +45,14 @@ def _reachable_pairs(formula, lasso):
     seen = {start}
     frontier = [start]
     while frontier:
-        position, (valuation, state) = frontier.pop()
+        position, obligation = frontier.pop()
         after = canonical_position(lasso, position + 1)
-        rewrite = automaton.delta(valuation, state, position_message(lasso, position))
+        rewrite = automaton.delta(obligation, position_message(lasso, position))
         for conjunct in rewrite:
-            for obligation in conjunct:
-                if (after, obligation) not in seen:
-                    seen.add((after, obligation))
-                    frontier.append((after, obligation))
+            for successor in conjunct:
+                if (after, successor) not in seen:
+                    seen.add((after, successor))
+                    frontier.append((after, successor))
     return seen
 
 

@@ -58,10 +58,10 @@ def test_seed_42_delta_calls_are_unchanged():
         automaton = build_automaton(to_nnf(formula))
         delta, lines = automaton.delta, []
 
-        def recording(valuation, state, message):
-            result = delta(valuation, state, message)
+        def recording(obligation, message):
+            result = delta(obligation, message)
             dnf = sorted(sorted(map(_canonical_obligation, c)) for c in result)
-            lines.append(json.dumps([sorted(valuation), state, message, dnf], sort_keys=True))
+            lines.append(json.dumps([*_canonical_obligation(obligation), message, dnf], sort_keys=True))
             return result
 
         automaton.delta = recording
