@@ -6,7 +6,7 @@ set of canonical positions where the formula holds, taking Until as a
 least and Release as a greatest fixpoint over that finite position
 space.  It shares with the automaton route only the input layer
 (value_of, dom, canonical_position, position_message); its scope check
-runs ensure_well_formed, which numbers no states, for its errors only.
+runs ensure_well_formed for its errors and ignores the normal form.
 
 lasso_accepts decides acceptance of the compiled automaton on
 (canonical position, obligation) pairs.  The automaton is very weak,

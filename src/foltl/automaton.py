@@ -1,9 +1,9 @@
 """Compilation of formulas, as written, into alternating automata.
 
-States are the closure of the formula's normal form, and the accepting
-states are its Release members.  One walk, ensure_well_formed, lowers
-the formula, checks scoping and lists the nodes; the automaton numbers
-them.  The transition delta maps an obligation, a (variable valuation,
+States are the closure of the formula's normal form, which
+ensure_well_formed returns once scoping checks out, numbered here in
+preorder; the accepting states are its Release members.  The
+transition delta maps an obligation, a (variable valuation,
 state) pair, and a message to a positive boolean combination of
 successor obligations, a Dnf: a plain frozenset of conjuncts, each a
 frozenset of obligations, none a subset of another.
@@ -117,10 +117,22 @@ def _never(p: Valuation, m: Message) -> Dnf:
     return FALSE_DNF
 
 
+def _number(f: Formula, refs: dict[Formula, int]) -> None:
+    """Number f, then its operands in preorder, skipping any subtree equal to one numbered."""
+    ref = len(refs)
+    if refs.setdefault(f, ref) == ref:
+        kind = type(f)
+        if kind is Next or kind is Exists or kind is Forall:
+            _number(f.body, refs)
+        elif kind is not Eq and kind is not Neq:
+            _number(f.left, refs)
+            _number(f.right, refs)
+
+
 class Automaton:
     """Alternating automaton for a formula as written; for its negation, wrap it in Not.
 
-    The state table is its normal form's closure in first-visit order, and
+    The state table is its normal form's closure in preorder, and
     state references are indices into it.  Construction is pure and the
     table never changes.  One cache never shows in what delta returns:
     each state's rule, kept from its first use.  A quantifier's rule
@@ -128,9 +140,8 @@ class Automaton:
     """
 
     def __init__(self, source: Formula):
-        self._refs = refs = {}
-        for f in ensure_well_formed(source):
-            refs.setdefault(f, len(refs))  # each state hashed once
+        self._refs: dict[Formula, int] = {}
+        _number(ensure_well_formed(source), self._refs)
         self.states: tuple[Formula, ...] = tuple(self._refs)
         self.accepting = frozenset(ref for ref, f in enumerate(self.states) if type(f) is Release)
         # The source's normal form is the closure's first member.

@@ -61,7 +61,7 @@ def load_formula(path: str) -> Formula:
             " " * len(line) if line.lstrip().startswith("#") else line
             for line in handle.read().split("\n")
         ]
-    return parse(" ".join(lines))
+    return parse("\n".join(lines))
 
 
 def cmd_compile(args) -> ExitStatus:

@@ -12,9 +12,8 @@ only to a record of their own kind, so ``Eq(a, b) != Neq(a, b)``.
 
 A node's subformulas are its fields that are formulas; ``children``
 reads them for the measures.  One walk, on exact type, lowers a formula
-to normal form, checks its scoping and lists the result's nodes in
-first-visit order; ``to_nnf`` keeps the normal form, ``ensure_well_formed``
-the first error or the nodes.  It expands each abbreviation from one table,
+to normal form and, for ``ensure_well_formed`` but not ``to_nnf``, checks
+its scoping.  It expands each abbreviation from one table,
 stated in positive polarity only, so De Morgan lives in ``_DUAL`` alone.
 ``format_formula`` matches each node kind explicitly, because it states
 its meaning.  The lexer sorts the matches of one regular expression.
@@ -387,47 +386,40 @@ _LOWERED = {
 }
 
 
-def _walk(f: Formula, negated: bool, scope: frozenset[str], order: list[Formula], errors: list) -> Formula:
-    """The normal form of f, or of its negation if negated; appends its
-    nodes to order in first-visit order and its scope errors to errors in
-    text order.  Not flips the polarity; a node is rebuilt, as its _DUAL
-    if negated, only if an operand changed (all of a negated node's do).
-    A non-formula raises the first error before it, or TypeError."""
+def _walk(f: Formula, negated: bool, scope: frozenset[str] | None) -> Formula:
+    """The normal form of f, or of its negation if negated, raising the
+    first scope error in text order unless scope is None.  Not flips the
+    polarity; a node is rebuilt, as its _DUAL if negated, only if an
+    operand changed (all of a negated node's do); a non-formula raises TypeError."""
     kind = type(f)
     if kind is Not:
-        return _walk(f.body, not negated, scope, order, errors)
+        return _walk(f.body, not negated, scope)
     if kind in _LOWERED:
-        return _walk(_LOWERED[kind](*f), negated, scope, order, errors)
+        return _walk(_LOWERED[kind](*f), negated, scope)
     if kind not in _DUAL:
-        raise errors[0] if errors else TypeError(f"not a formula: {f!r}")
-    # Taken on entry and filled on exit, so nodes number in preorder.
-    slot = len(order)
-    order.append(f)
+        raise TypeError(f"not a formula: {f!r}")
     kind = _DUAL[kind] if negated else kind
     if kind is Eq or kind is Neq:
-        for term in f:
-            if type(term) is Var and term.name not in scope:
-                errors.append(UnboundVariableError(term.name))
-        f = kind(*f) if negated else f
-    elif kind is Exists or kind is Forall:
-        if f.var in scope:
-            errors.append(ShadowedVariableError(f.var))
-        elif not _is_name(f.var):
-            errors.append(FormulaError(f"quantifier variable {f.var!r} would not parse as a variable name"))
-        lowered = _walk(f.body, negated, scope | {f.var}, order, errors)
-        if lowered is not f.body:
-            f = kind(f.var, f.path, lowered)
-    elif kind is Next:
-        lowered = _walk(f.body, negated, scope, order, errors)
-        if lowered is not f.body:
-            f = Next(lowered)
-    else:
-        left = _walk(f.left, negated, scope, order, errors)
-        right = _walk(f.right, negated, scope, order, errors)
-        if left is not f.left or right is not f.right:
-            f = kind(left, right)
-    order[slot] = f
-    return f
+        if scope is not None:
+            for term in f:
+                if type(term) is Var and term.name not in scope:
+                    raise UnboundVariableError(term.name)
+        return kind(*f) if negated else f
+    if kind is Exists or kind is Forall:
+        if scope is not None:
+            if f.var in scope:
+                raise ShadowedVariableError(f.var)
+            if not _is_name(f.var):
+                raise FormulaError(f"quantifier variable {f.var!r} would not parse as a variable name")
+            scope = scope | {f.var}
+        lowered = _walk(f.body, negated, scope)
+        return f if lowered is f.body else kind(f.var, f.path, lowered)
+    if kind is Next:
+        lowered = _walk(f.body, negated, scope)
+        return f if lowered is f.body else Next(lowered)
+    left = _walk(f.left, negated, scope)
+    right = _walk(f.right, negated, scope)
+    return f if left is f.left and right is f.right else kind(left, right)
 
 
 def to_nnf(formula: Formula) -> Formula:
@@ -437,23 +429,14 @@ def to_nnf(formula: Formula) -> Formula:
     the two quantifiers.  Boolean literals become the self-evident atoms
     "true" = "true" and "true" != "true".  Open formulas are lowered too.
     """
-    return _walk(formula, False, frozenset(), [], [])
+    return _walk(formula, False, None)
 
 
-def ensure_well_formed(
-    formula: Formula, scope: frozenset[str] = frozenset()
-) -> list[Formula]:
+def ensure_well_formed(formula: Formula, scope: frozenset[str] = frozenset()) -> Formula:
     """Raise the first scope error in text order unless every variable is
     bound exactly once on its branch, by a name the lexer reads back;
-    return the normal form's nodes in first-visit order: the normal form
-    first, atoms adding only themselves, the other kinds their operands.
-    Equal subtrees repeat, since each may sit in another scope."""
-    order: list[Formula] = []
-    errors: list[FormulaError] = []
-    _walk(formula, False, scope, order, errors)
-    if errors:
-        raise errors[0]
-    return order
+    return the normal form, which equals to_nnf(formula)."""
+    return _walk(formula, False, scope)
 
 
 def children(formula: Formula) -> tuple[Formula, ...]:

@@ -43,6 +43,15 @@ class TestLoadFormula:
         offset = text.index('"/m/a"')  # where "in" is missing
         assert f"at offset {offset}:" in capsys.readouterr().err
 
+    def test_line_break_stays_inside_a_constant(self, tmp_path, capsys):
+        formula = tmp_path / "break.ltl"
+        formula.write_text('exists x in "/m/a" : x = "a\nb"\n', encoding="utf-8")
+        lasso = tmp_path / "break.lasso.json"
+        lasso.write_text('{"prefix":[],"loop":[{"m":{"a":"a\\nb"}}]}', encoding="utf-8")
+        for command in ("accept", "oracle"):
+            assert main([command, "--formula", str(formula), "--lasso", str(lasso)]) == 0
+            assert capsys.readouterr().out == "RESULT TRUE\n"
+
     def test_missing_file_is_an_error_exit(self, capsys):
         assert main(["compile", "--formula", "/nonexistent.ltl"]) == 3
         assert capsys.readouterr().err.startswith("error:")

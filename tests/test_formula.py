@@ -5,7 +5,7 @@ from hypothesis import given
 
 import strategies
 from foltl.acceptance import FuzzCase
-from foltl.automaton import build_automaton
+from foltl.automaton import Automaton, build_automaton
 from foltl.events import EmptyLoopError, LassoTrace, parse_message
 from foltl.formula import (
     FALSE_ATOM,
@@ -398,7 +398,8 @@ class TestNormalForm:
 
     def test_walk_leaves_no_garbage_cycle(self):
         # No call leaves a cycle behind: reference counting alone frees
-        # what the walk allocates, with the collector off.
+        # what the walk and the state numbering allocate, with the
+        # collector off, as long as no rule has been compiled.
         formula = parse('G forall x in "/m/req" : F exists y in "/m/ack" : y = x')
         gc.collect()
         gc.disable()
@@ -407,6 +408,7 @@ class TestNormalForm:
                 to_nnf(formula)
                 to_nnf(Not(formula))
                 ensure_well_formed(formula)
+                Automaton(formula)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -529,3 +531,9 @@ class TestWellFormed:
     @given(strategies.formulas())
     def test_generated_formulas_are_well_formed(self, formula):
         ensure_well_formed(formula)
+
+    @given(strategies.formulas())
+    def test_returns_the_normal_form_the_automaton_starts_from(self, formula):
+        normal = to_nnf(formula)
+        assert ensure_well_formed(formula) == normal
+        assert Automaton(formula).states[0] == normal

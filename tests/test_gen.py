@@ -38,8 +38,9 @@ def test_seed_42_corpus_is_unchanged(depth, quantifiers):
 
 
 # sha256 over every delta call lasso_accepts makes on d4q3 cases 0 to
-# 299: per case, one sorted line per call holding its valuation, state,
-# message and resulting DNF, each in a canonical (sorted) form.
+# 299, each automaton built from its formula as generated: per case,
+# one sorted line per call holding its valuation, state, message and
+# resulting DNF, each in a canonical (sorted) form.
 DELTA_SHA256 = "c649a84387349f03be11bc40ac802353d7eb421857277cfbde3fe0f04b5b7bcc"
 
 
@@ -55,7 +56,7 @@ def test_seed_42_delta_calls_are_unchanged():
         rng = case_rng(42, "case", index)
         formula = gen_formula(rng, bounds)
         trace = gen_lasso(rng, bounds)
-        automaton = build_automaton(to_nnf(formula))
+        automaton = build_automaton(formula)
         delta, lines = automaton.delta, []
 
         def recording(obligation, message):
@@ -111,8 +112,9 @@ def test_seed_42_normal_forms_are_unchanged(depth, quantifiers, size, count):
     assert digest.hexdigest() == NNF_SHA256[depth, quantifiers, size, count]
 
 
-# sha256 over every monitor configuration on d4q3 cases 0 to 299, one
-# line per message of prefix + loop x 3: its conjuncts, each sorted.
+# sha256 over every monitor configuration on d4q3 cases 0 to 299, each
+# automaton built from its formula as generated: one line per message of
+# prefix + loop x 3, its conjuncts, each sorted.
 CONFIGURATION_SHA256 = "dad7f25da16efdb72aaf772b7c4e13d70372098cec9ddeabc37f1fef596f7881"
 
 
@@ -123,7 +125,7 @@ def test_seed_42_monitor_configurations_are_unchanged():
         rng = case_rng(42, "case", index)
         formula = gen_formula(rng, bounds)
         trace = gen_lasso(rng, bounds)
-        automaton = build_automaton(to_nnf(formula))
+        automaton = build_automaton(formula)
         configuration = initial_configuration(automaton)
         for message in trace.prefix + trace.loop * 3:
             configuration = step(automaton, configuration, message)

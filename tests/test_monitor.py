@@ -126,7 +126,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 _COUNT_DELTA_CALLS = """
 from foltl.automaton import Automaton
 from foltl.events import message_from_obj
-from foltl.formula import parse, to_nnf
+from foltl.formula import parse
 from foltl.monitor import initial_configuration, step, verdict
 
 calls = 0
@@ -140,10 +140,10 @@ def counting(self, *args):
 
 
 Automaton.delta = counting
-auto = Automaton(to_nnf(parse(
+auto = Automaton(parse(
     '(G forall x in "/m/req" : F exists y in "/m/ack" : y = x) '
     '& G forall z in "/m/a" : z != "c"'
-)))
+))
 config = initial_configuration(auto)
 for i in range(31):
     config = step(auto, config, message_from_obj({"m": {"req": f"{i:08x}", "a": "c" if i == 30 else "b"}}))
