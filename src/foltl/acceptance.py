@@ -92,8 +92,7 @@ class OracleEvaluator:
         key = (formula, valuation)
         cached = self._memo.get(key)
         if cached is None:
-            cached = self._compute(formula, valuation)
-            self._memo[key] = cached
+            cached = self._memo[key] = self._compute(formula, valuation)
         return cached
 
     def _fixpoint(self, current: frozenset[int], unfold) -> frozenset[int]:
@@ -111,11 +110,8 @@ class OracleEvaluator:
                 return self.all_positions
             case FalseLit():
                 return frozenset()
-            case Eq(left, right):
-                holds = value_of(p, left) == value_of(p, right)
-                return self.all_positions if holds else frozenset()
-            case Neq(left, right):
-                holds = value_of(p, left) != value_of(p, right)
+            case Eq(left, right) | Neq(left, right):
+                holds = (value_of(p, left) == value_of(p, right)) == isinstance(f, Eq)
                 return self.all_positions if holds else frozenset()
             case Not(body):
                 return self.all_positions - self.sat(body, p)

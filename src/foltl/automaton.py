@@ -75,6 +75,9 @@ FALSE_DNF: Dnf = frozenset()
 
 
 def _normalize(conjuncts: AbstractSet[Conjunct]) -> Dnf:
+    # Zero or one conjunct is an antichain already, and a frozenset is returned as is.
+    if len(conjuncts) < 2:
+        return frozenset(conjuncts)
     # Visiting by size first makes one subset pass produce the antichain.
     kept: list[Conjunct] = []
     for candidate in sorted(conjuncts, key=len):
@@ -213,8 +216,13 @@ class Automaton:
             return lambda p, m: dnf_and((first(p, m), second(p, m)))
         # Conjoining a single conjunct adds its obligation to each
         # conjunct; delta's normalization removes what that subsumes.
+        # F and G, a constant left side, fuse to one call of the right.
         if kind is Until:
+            if first is _always:
+                return lambda p, m: second(p, m) | {frozenset({(p, ref)})}
             return lambda p, m: second(p, m) | {c | {(p, ref)} for c in first(p, m)}
+        if first is _never:
+            return lambda p, m: frozenset([c | {(p, ref)} for c in second(p, m)])
 
         def release(p: Valuation, m: Message) -> Dnf:
             constraint = second(p, m)

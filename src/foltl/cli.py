@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from enum import IntEnum
+from pathlib import Path
 
 from .acceptance import (
     DEFAULT_STATE_LIMIT,
@@ -22,7 +24,7 @@ from .events import (
     lasso_to_json,
     load_lasso,
 )
-from .formula import Exists, Forall, Formula, FormulaError, format_formula, parse, temporal_depth
+from .formula import COMMENTS, Exists, Forall, Formula, FormulaError, format_formula, parse, temporal_depth
 from .gen import GenBounds
 from .monitor import Verdict, initial_configuration, step, verdict
 
@@ -52,16 +54,12 @@ def count(text: str) -> int:
 def load_formula(path: str) -> Formula:
     """One formula per file; lines whose first non-blank character is # are comments.
 
-    Text mode reads every line break as \\n, so splitting there keeps
-    U+2028 and the other Unicode breaks inside string constants.  Each
-    comment becomes as many spaces, so error offsets count from the file.
+    Text mode reads each line break as \\n, where a comment ends; no
+    comment starts inside a string constant, found by the lexer's rule.
+    Each comment becomes as many spaces, so error offsets count from the file.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = [
-            " " * len(line) if line.lstrip().startswith("#") else line
-            for line in handle.read().split("\n")
-        ]
-    return parse("\n".join(lines))
+    text = Path(path).read_text(encoding="utf-8")
+    return parse(re.sub(COMMENTS, lambda m: m[0] if m[0][0] == '"' else " " * len(m[0]), text))
 
 
 def cmd_compile(args) -> ExitStatus:
@@ -96,14 +94,10 @@ def cmd_monitor(args) -> ExitStatus:
     return ExitStatus[current.name]
 
 
-def _load_lasso_file(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return load_lasso(handle.read())
-
-
 def cmd_accept(args) -> ExitStatus:
     automaton = build_automaton(load_formula(args.formula))
-    accepted = lasso_accepts(automaton, _load_lasso_file(args.lasso), args.state_limit)
+    lasso = load_lasso(Path(args.lasso).read_text(encoding="utf-8"))
+    accepted = lasso_accepts(automaton, lasso, args.state_limit)
     print(f"RESULT {'TRUE' if accepted else 'FALSE'}")
     return ExitStatus.TRUE if accepted else ExitStatus.FALSE
 
@@ -111,7 +105,8 @@ def cmd_accept(args) -> ExitStatus:
 def cmd_oracle(args) -> ExitStatus:
     # The semantics-direct route, on the formula as written; its scope
     # check runs the lowering walk but reads none of its output.
-    holds = oracle_eval(EMPTY_VALUATION, load_formula(args.formula), _load_lasso_file(args.lasso))
+    lasso = load_lasso(Path(args.lasso).read_text(encoding="utf-8"))
+    holds = oracle_eval(EMPTY_VALUATION, load_formula(args.formula), lasso)
     print(f"RESULT {'TRUE' if holds else 'FALSE'}")
     return ExitStatus.TRUE if holds else ExitStatus.FALSE
 

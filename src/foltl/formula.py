@@ -186,7 +186,10 @@ class _Token(Record, namedtuple("_Token", "kind text position")):  # kind, text:
 
 # A string (body, closing quote if any), a word, a two-character
 # operator, or one other character; whitespace only separates.
-_TOKEN = re.compile(r'"((?:[^"\\]|\\["\\])*)("?)|\w+|!=|->|\S')
+_STRING = r'"((?:[^"\\]|\\["\\])*)("?)'
+_TOKEN = re.compile(_STRING + r"|\w+|!=|->|\S")
+# A formula file's comment line, or a string constant; left uncompiled, as only the CLI reads it.
+COMMENTS = r"(?m)^[^\S\n]*#.*|" + _STRING
 _ESCAPE = re.compile(r'\\(["\\])')
 
 
@@ -228,7 +231,7 @@ _COMPARE = {"=": Eq, "!=": Neq}
 _LITERAL = {"true": TrueLit, "false": FalseLit}
 _TERM = {"IDENT": Var, "STRING": Const}
 # What _expect says it wanted, for the token kinds that are not literal text.
-_EXPECTED = {"IDENT": "variable name", "STRING": "quoted path"}
+_EXPECTED = {"IDENT": "variable name", "STRING": "quoted path", "EOF": "end of input"}
 _SYMBOL = {
     kind: symbol
     for table in (_UNARY, *_INFIX, _QUANTIFIER, _COMPARE, _LITERAL)
@@ -278,9 +281,7 @@ class Parser:
 
     def parse(self) -> Formula:
         formula = self._binary(0)
-        tok = self._peek()
-        if tok.kind != "EOF":
-            raise FormulaSyntaxError(tok.position, "end of input", found=tok.found())
+        self._expect("EOF")
         return formula
 
     def _binary(self, level: int) -> Formula:

@@ -10,6 +10,7 @@ from foltl.automaton import (
     FALSE_DNF,
     TRUE_DNF,
     Automaton,
+    _normalize,
     build_automaton,
     dnf_and,
     dnf_or,
@@ -31,6 +32,7 @@ from foltl.formula import (
     Path,
     Release,
     ShadowedVariableError,
+    TRUE_ATOM,
     UnboundVariableError,
     Until,
     Var,
@@ -163,6 +165,20 @@ class TestDnfConversion:
         assert dnf_and([plain, FALSE_DNF]) == FALSE_DNF
         assert dnf_or([plain, FALSE_DNF]) == plain
         assert dnf_or([plain, TRUE_DNF]) == TRUE_DNF
+
+
+class TestNormalize:
+    def test_zero_or_one_conjunct_is_returned_as_is(self):
+        for dnf in (FALSE_DNF, TRUE_DNF, _lit(3), _lit(0, x="a")):
+            assert _normalize(dnf) is dnf
+        assert _normalize({frozenset({_ob(1)})}) == _lit(1)
+
+    def test_subsumed_conjunct_is_removed_from_several(self):
+        short, long = frozenset({_ob(0)}), frozenset({_ob(0), _ob(1)})
+        assert _normalize(frozenset({short, long})) == {short}
+        other = frozenset({_ob(2, x="a")})
+        assert _normalize({long, other, short}) == {short, other}
+        assert _normalize({frozenset(), long, other}) == TRUE_DNF
 
 
 _UNIVERSE = (
@@ -504,6 +520,55 @@ class TestDelta:
             per_message.append(len(extracted) - before)
         assert verdict(config) is Verdict.INCONCLUSIVE
         assert per_message[-10:] == [3] * 10
+
+
+class TestFusedTemporalRules:
+    """F and G compile to one call of their operand's rule; each Dnf is derived by hand."""
+
+    def test_pending_finally_holds_itself_again(self):
+        auto = build_automaton(parse('F exists x in "/m/a" : x = "c"'))
+        assert auto.delta(auto.initial, AB) == {frozenset({auto.initial})}
+
+    def test_discharged_finally_is_true(self):
+        auto = build_automaton(parse('F exists x in "/m/a" : x = "b"'))
+        assert auto.delta(auto.initial, AB) == TRUE_DNF
+
+    def test_finally_keeps_each_binding_of_its_quantifier(self):
+        # x = "b" discharges its F; x = "a" holds the F again under its binding.
+        auto = build_automaton(parse('forall x in "/m/a" : F x = "b"'))
+        until = auto.states.index(Until(TRUE_ATOM, Eq(Var("x"), Const("b"))))
+        assert auto.delta(auto.initial, AB) == {frozenset({_ob(until, x="a")})}
+        auto = build_automaton(parse('exists x in "/m/a" : F x = "c"'))
+        until = auto.states.index(Until(TRUE_ATOM, Eq(Var("x"), Const("c"))))
+        assert auto.delta(auto.initial, AB) == {
+            frozenset({_ob(until, x="a")}),
+            frozenset({_ob(until, x="b")}),
+        }
+
+    def test_finally_joins_each_conjunct_of_its_operand(self):
+        auto = build_automaton(parse('F exists x in "/m/a" : X x = "q"'))
+        atom = auto.states.index(Eq(Var("x"), Const("q")))
+        assert auto.delta(auto.initial, AB) == {
+            frozenset({_ob(atom, x="a")}),
+            frozenset({_ob(atom, x="b")}),
+            frozenset({auto.initial}),
+        }
+
+    def test_globally_that_holds_stays_pending(self):
+        auto = build_automaton(parse('G exists x in "/m/a" : x = "a"'))
+        assert auto.delta(auto.initial, AB) == {frozenset({auto.initial})}
+
+    def test_globally_joins_itself_to_each_conjunct_of_its_operand(self):
+        auto = build_automaton(parse('G exists x in "/m/a" : X x = "q"'))
+        atom = auto.states.index(Eq(Var("x"), Const("q")))
+        assert auto.delta(auto.initial, AB) == {
+            frozenset({_ob(atom, x="a"), auto.initial}),
+            frozenset({_ob(atom, x="b"), auto.initial}),
+        }
+
+    def test_violated_globally_is_false(self):
+        auto = build_automaton(parse('G exists x in "/m/a" : x = "c"'))
+        assert auto.delta(auto.initial, AB) == FALSE_DNF
 
 
 def _reachable(auto, messages):

@@ -52,6 +52,15 @@ class TestLoadFormula:
             assert main([command, "--formula", str(formula), "--lasso", str(lasso)]) == 0
             assert capsys.readouterr().out == "RESULT TRUE\n"
 
+    def test_hash_line_inside_a_constant_is_not_a_comment(self, tmp_path, capsys):
+        formula = tmp_path / "hash.ltl"
+        formula.write_text('# a comment\nexists x in "/m/a" : x = "a\n #b"\n', encoding="utf-8")
+        lasso = tmp_path / "hash.lasso.json"
+        lasso.write_text('{"prefix":[],"loop":[{"m":{"a":"a\\n #b"}}]}', encoding="utf-8")
+        for command in ("accept", "oracle"):
+            assert main([command, "--formula", str(formula), "--lasso", str(lasso)]) == 0
+            assert capsys.readouterr().out == "RESULT TRUE\n"
+
     def test_missing_file_is_an_error_exit(self, capsys):
         assert main(["compile", "--formula", "/nonexistent.ltl"]) == 3
         assert capsys.readouterr().err.startswith("error:")

@@ -71,3 +71,20 @@ def test_demo_runs(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "lasso discharged automaton=True oracle=True" in out
     assert "lasso dropped    automaton=False oracle=False" in out
+
+
+def test_every_mutant_row_applies_exactly_once():
+    # What scripts/mutants.py reports as STALE, caught by the suite too.
+    table = runpy.run_path(str(SCRIPTS / "mutants.py"))
+    source = SCRIPTS.parent / "src" / "foltl"
+    for mutant in table["MUTANTS"]:
+        assert (source / mutant.file).read_text(encoding="utf-8").count(mutant.old) == 1, mutant.name
+
+
+def test_mutants_reports_a_stale_row_and_exits_one(monkeypatch, capsys):
+    main = runpy.run_path(str(SCRIPTS / "mutants.py"))["main"]
+    stale = main.__globals__["Mutant"]("stale", "cli.py", "text found nowhere", "", ())
+    monkeypatch.setitem(main.__globals__, "MUTANTS", (stale,))
+    assert main([]) == 1
+    assert capsys.readouterr().out.startswith("STALE    stale (cli.py)")
+    assert main(["no-such-row"]) == 2
