@@ -8,15 +8,14 @@ one, against the copy.  A row is KILLED when a test fails or the command
 exits non-zero, SURVIVED when everything passes, and STALE when its old
 text is not found exactly once, so a row whose code has moved is
 reported rather than silently skipped.  Before any row, every test and
-command of the selected rows runs once on the unmutated copy and must
-pass; a test id that does not exist fails there.
+command of the table runs once on the unmutated copy and must pass; a
+test id that does not exist fails there.
 
 The run exits 0 when every row is KILLED, 1 on any SURVIVED or STALE
 row, and 2 when the unmutated copy fails.
 
 Usage:
-    python scripts/mutants.py            # every row
-    python scripts/mutants.py NAME ...   # the named rows only
+    python scripts/mutants.py
 """
 import os
 import shutil
@@ -123,6 +122,13 @@ MUTANTS = (
         ("tests/test_formula.py::TestRecords::test_equal_only_to_their_own_kind",),
     ),
     Mutant(
+        "record-inequality-is-tuples",
+        "formula.py",
+        "    __ne__ = object.__ne__  # the negation of __eq__, not tuple's\n",
+        "",
+        ("tests/test_formula.py::TestRecords::test_equal_only_to_their_own_kind",),
+    ),
+    Mutant(
         "binder-check-dropped",
         "formula.py",
         "            if not _is_name(f.var):\n",
@@ -173,23 +179,18 @@ def _passes(workdir: Path, tests, command) -> bool:
     return not command or subprocess.run([sys.executable, "-m", "foltl.cli", *command], **quiet).returncode == 0
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    rows = [m for m in MUTANTS if not argv or m.name in argv]
+def main() -> int:
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         _copy(workdir)
-        tests = sorted({t for m in rows for t in m.tests})
-        commands = sorted({m.command for m in rows if m.command})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        commands = sorted({m.command for m in MUTANTS if m.command})
         if not _passes(workdir, tests, ()) or not all(_passes(workdir, (), c) for c in commands):
             print("BASELINE the unmutated copy fails a row's tests or command", file=sys.stderr)
             return 2
         failed = 0
-        for m in rows:
+        for m in MUTANTS:
             target = workdir / "src" / "foltl" / m.file
             original = target.read_text(encoding="utf-8")
             began = time.perf_counter()
@@ -208,4 +209,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -70,7 +70,6 @@ class OracleEvaluator:
 
     def __init__(self, trace: LassoTrace):
         self.trace = trace
-        self.loop_start = len(trace.prefix)
         self.count = len(trace.prefix) + len(trace.loop)
         self.messages = [position_message(trace, i) for i in range(self.count)]
         self.all_positions = frozenset(range(self.count))
@@ -82,17 +81,15 @@ class OracleEvaluator:
         ensure_well_formed(formula, frozenset(name for name, _ in valuation))
         return canonical_position(self.trace, index) in self.sat(formula, valuation)
 
-    def _successor(self, position: int) -> int:
-        return position + 1 if position + 1 < self.count else self.loop_start
-
     def _pre(self, targets: frozenset[int]) -> frozenset[int]:
-        return frozenset(p for p in self.all_positions if self._successor(p) in targets)
+        return frozenset(p for p in self.all_positions if canonical_position(self.trace, p + 1) in targets)
 
     def sat(self, formula: Formula, valuation: Valuation) -> frozenset[int]:
         key = (formula, valuation)
         cached = self._memo.get(key)
         if cached is None:
-            cached = self._memo[key] = self._compute(formula, valuation)
+            cached = self._compute(formula, valuation)
+            self._memo[key] = cached
         return cached
 
     def _fixpoint(self, current: frozenset[int], unfold) -> frozenset[int]:
@@ -110,8 +107,11 @@ class OracleEvaluator:
                 return self.all_positions
             case FalseLit():
                 return frozenset()
-            case Eq(left, right) | Neq(left, right):
-                holds = (value_of(p, left) == value_of(p, right)) == isinstance(f, Eq)
+            case Eq(left, right):
+                holds = value_of(p, left) == value_of(p, right)
+                return self.all_positions if holds else frozenset()
+            case Neq(left, right):
+                holds = value_of(p, left) != value_of(p, right)
                 return self.all_positions if holds else frozenset()
             case Not(body):
                 return self.all_positions - self.sat(body, p)

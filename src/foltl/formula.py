@@ -61,9 +61,7 @@ class Record:
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and tuple.__eq__(self, other)
 
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
     __hash__ = tuple.__hash__
 
     def __bool__(self) -> bool:
