@@ -36,16 +36,23 @@ MUTANTS = (
     Mutant(
         "finally-discharges-at-once",
         "automaton.py",
-        "second(p, m) | {frozenset({(p, ref)})}",
-        "second(p, m) | {frozenset()}",
+        "body(p, m) | {frozenset({(p, ref)})}",
+        "body(p, m) | {frozenset()}",
         ("tests/test_automaton.py::TestFusedTemporalRules::test_pending_finally_holds_itself_again",),
     ),
     Mutant(
         "globally-forgets-itself",
         "automaton.py",
-        "frozenset([c | {(p, ref)} for c in second(p, m)])",
-        "frozenset([c for c in second(p, m)])",
+        "frozenset([c | {(p, ref)} for c in body(p, m)])",
+        "frozenset([c for c in body(p, m)])",
         ("tests/test_automaton.py::TestFusedTemporalRules::test_globally_that_holds_stays_pending",),
+    ),
+    Mutant(
+        "true-literal-compiled-false",
+        "automaton.py",
+        "return _always if kind is TrueLit else _never",
+        "return _never",
+        ("tests/test_automaton.py::TestDelta::test_literals_are_constant",),
     ),
     Mutant(
         "normalize-skips-two-conjuncts",
@@ -107,12 +114,20 @@ MUTANTS = (
         ("tests/test_events.py::TestDom",),
     ),
     Mutant(
-        "finally-lowered-to-its-body",
+        "negated-finally-stays-finally",
         "formula.py",
-        "Finally: lambda body: Until(TRUE_ATOM, body),",
-        "Finally: lambda body: body,",
+        "Finally: Globally,",
+        "Finally: Finally,",
         (),
         ("fuzz", "--seed", "42", "--count", "1000", "--max-depth", "4", "--max-quant", "3"),
+    ),
+    # The fuzz corpora at d4q3 and d5q3 agree on every case with this mutant.
+    Mutant(
+        "negated-globally-stays-globally",
+        "formula.py",
+        "Globally: Finally,",
+        "Globally: Globally,",
+        ("tests/test_formula.py::TestNormalForm::test_negated_globally_becomes_finally",),
     ),
     Mutant(
         "record-equality-ignores-kind",

@@ -2,13 +2,14 @@
 
 States are the closure of the formula's normal form, which
 ensure_well_formed returns once scoping checks out, numbered here in
-preorder; the accepting states are its Release members.  The
+preorder; the accepting states are its G and Release members.  The
 transition delta maps an obligation, a (variable valuation,
 state) pair, and a message to a positive boolean combination of
 successor obligations, a Dnf: a plain frozenset of conjuncts, each a
 frozenset of obligations, none a subset of another.
-Atoms that hold become the empty conjunct and atoms that fail the empty
-disjunction, so true and false are transition formulas, never states.
+Atoms that hold, and true, become the empty conjunct, and atoms that
+fail, and false, the empty disjunction: constant rules, not successors.
+F and G are kinds of their own, each with a rule of one operand call.
 Quantifiers expand over the value domain the current message yields for
 their path, so the automaton stays finite-state while valuations live
 inside obligations; a reachable obligation's valuation binds its state's
@@ -30,13 +31,17 @@ from .formula import (
     And,
     Eq,
     Exists,
+    FalseLit,
+    Finally,
     Forall,
     Formula,
+    Globally,
     Neq,
     Next,
     Or,
     Release,
     Term,
+    TrueLit,
     Until,
     Var,
     _quote,
@@ -124,12 +129,9 @@ def _number(f: Formula, refs: dict[Formula, int]) -> None:
     """Number f, then its operands in preorder, skipping any subtree equal to one numbered."""
     ref = len(refs)
     if refs.setdefault(f, ref) == ref:
-        kind = type(f)
-        if kind is Next or kind is Exists or kind is Forall:
-            _number(f.body, refs)
-        elif kind is not Eq and kind is not Neq:
-            _number(f.left, refs)
-            _number(f.right, refs)
+        for field in f:
+            if isinstance(field, Formula):
+                _number(field, refs)
 
 
 class Automaton:
@@ -146,7 +148,7 @@ class Automaton:
         self._refs: dict[Formula, int] = {}
         _number(ensure_well_formed(source), self._refs)
         self.states: tuple[Formula, ...] = tuple(self._refs)
-        self.accepting = frozenset(ref for ref, f in enumerate(self.states) if type(f) is Release)
+        self.accepting = frozenset(ref for ref, f in enumerate(self.states) if type(f) in (Release, Globally))
         # The source's normal form is the closure's first member.
         self.initial: Obligation = (EMPTY_VALUATION, 0)
         self._rules: list = [None] * len(self.states)
@@ -175,6 +177,8 @@ class Automaton:
         f = self.states[ref]
         # Exact-type dispatch: class patterns in a match cost half as much again.
         kind = type(f)
+        if kind is TrueLit or kind is FalseLit:
+            return _always if kind is TrueLit else _never
         if kind is Eq or kind is Neq:
             left, right = f
             same = kind is Eq
@@ -208,21 +212,21 @@ class Automaton:
         if kind is Next:
             later = self._refs[f.body]
             return lambda p, m: frozenset({frozenset({(p, later)})})
+        # Conjoining a single conjunct adds its obligation to each
+        # conjunct; delta's normalization removes what that subsumes.
+        if kind is Finally or kind is Globally:
+            body = self._rule(self._refs[f.body])
+            if kind is Finally:
+                return lambda p, m: body(p, m) | {frozenset({(p, ref)})}
+            return lambda p, m: frozenset([c | {(p, ref)} for c in body(p, m)])
         # The closure holds normal-form kinds only, so what is left is binary.
         first, second = (self._rule(self._refs[g]) for g in f)
         if kind is Or:
             return lambda p, m: first(p, m) | second(p, m)
         if kind is And:
             return lambda p, m: dnf_and((first(p, m), second(p, m)))
-        # Conjoining a single conjunct adds its obligation to each
-        # conjunct; delta's normalization removes what that subsumes.
-        # F and G, a constant left side, fuse to one call of the right.
         if kind is Until:
-            if first is _always:
-                return lambda p, m: second(p, m) | {frozenset({(p, ref)})}
             return lambda p, m: second(p, m) | {c | {(p, ref)} for c in first(p, m)}
-        if first is _never:
-            return lambda p, m: frozenset([c | {(p, ref)} for c in second(p, m)])
 
         def release(p: Valuation, m: Message) -> Dnf:
             constraint = second(p, m)

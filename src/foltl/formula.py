@@ -1,6 +1,6 @@
 """Formula AST, concrete syntax, and negation normal form.
 
-Formulas are LTL (X, U, R plus the derived F and G) extended with
+Formulas are LTL (X, F, G, U and R, with true and false) extended with
 per-message quantifiers: ``exists x in "/root/elem" : body`` binds ``x``
 to each value the quoted path extracts from the current message, and
 ``forall`` is its dual.  Atoms compare two terms, where a term is a
@@ -13,8 +13,9 @@ only to a record of their own kind, so ``Eq(a, b) != Neq(a, b)``.
 A node's subformulas are its fields that are formulas; ``children``
 reads them for the measures.  One walk, on exact type, lowers a formula
 to normal form and, for ``ensure_well_formed`` but not ``to_nnf``, checks
-its scoping.  It expands each abbreviation from one table,
-stated in positive polarity only, so De Morgan lives in ``_DUAL`` alone.
+its scoping.  It expands the one abbreviation, ``->``, in positive
+polarity only, so De Morgan lives in ``_DUAL`` alone; every other kind
+but ``!`` is kept.
 ``format_formula`` matches each node kind explicitly, because it states
 its meaning.  The lexer sorts the matches of one regular expression.
 """
@@ -162,11 +163,6 @@ class Exists(Formula, namedtuple("Exists", "var path body")):  # var: str, path:
 class Forall(Formula, namedtuple("Forall", "var path body")):  # var: str, path: Path, body: Formula
     __slots__ = ()
 
-
-# Normal-form stand-ins for the boolean literals.  Both use the same
-# constant so negating one yields exactly the other.
-TRUE_ATOM = Eq(Const("true"), Const("true"))
-FALSE_ATOM = Neq(Const("true"), Const("true"))
 
 KEYWORDS = frozenset({"G", "F", "X", "U", "R", "exists", "forall", "in", "true", "false"})
 
@@ -370,18 +366,8 @@ def format_formula(formula: Formula) -> str:
 
 # Each normal-form kind and its De Morgan dual, the kind its negation takes.
 _DUAL = {
-    Eq: Neq, Neq: Eq, And: Or, Or: And, Next: Next,
-    Until: Release, Release: Until, Exists: Forall, Forall: Exists,
-}
-
-# Each abbreviation and what it stands for, stated once and positively:
-# a negated one is expanded first and its expansion negated by _walk.
-_LOWERED = {
-    TrueLit: lambda: TRUE_ATOM,
-    FalseLit: lambda: FALSE_ATOM,
-    Implies: lambda left, right: Or(Not(left), right),
-    Finally: lambda body: Until(TRUE_ATOM, body),
-    Globally: lambda body: Release(FALSE_ATOM, body),
+    TrueLit: FalseLit, FalseLit: TrueLit, Eq: Neq, Neq: Eq, And: Or, Or: And, Next: Next,
+    Finally: Globally, Globally: Finally, Until: Release, Release: Until, Exists: Forall, Forall: Exists,
 }
 
 
@@ -393,12 +379,12 @@ def _walk(f: Formula, negated: bool, scope: frozenset[str] | None) -> Formula:
     kind = type(f)
     if kind is Not:
         return _walk(f.body, not negated, scope)
-    if kind in _LOWERED:
-        return _walk(_LOWERED[kind](*f), negated, scope)
+    if kind is Implies:
+        return _walk(Or(Not(f.left), f.right), negated, scope)
     if kind not in _DUAL:
         raise TypeError(f"not a formula: {f!r}")
     kind = _DUAL[kind] if negated else kind
-    if kind is Eq or kind is Neq:
+    if kind is Eq or kind is Neq or kind is TrueLit or kind is FalseLit:
         if scope is not None:
             for term in f:
                 if type(term) is Var and term.name not in scope:
@@ -413,20 +399,20 @@ def _walk(f: Formula, negated: bool, scope: frozenset[str] | None) -> Formula:
             scope = scope | {f.var}
         lowered = _walk(f.body, negated, scope)
         return f if lowered is f.body else kind(f.var, f.path, lowered)
-    if kind is Next:
+    if kind is Next or kind is Finally or kind is Globally:
         lowered = _walk(f.body, negated, scope)
-        return f if lowered is f.body else Next(lowered)
+        return f if lowered is f.body else kind(lowered)
     left = _walk(f.left, negated, scope)
     right = _walk(f.right, negated, scope)
     return f if left is f.left and right is f.right else kind(left, right)
 
 
 def to_nnf(formula: Formula) -> Formula:
-    """Push negations to atoms and lower F, G, ->, true, false.
+    """Push negations down to the atoms and literals, and expand ->.
 
-    The result contains only Eq, Neq, And, Or, Next, Until, Release and
-    the two quantifiers.  Boolean literals become the self-evident atoms
-    "true" = "true" and "true" != "true".  Open formulas are lowered too.
+    The result contains only true, false, Eq, Neq, And, Or, Next, F, G,
+    Until, Release and the two quantifiers; each negated kind becomes its
+    dual, so !F becomes G of the negation.  Open formulas are lowered too.
     """
     return _walk(formula, False, None)
 

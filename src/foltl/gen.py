@@ -96,7 +96,7 @@ def gen_formula(rng: random.Random, bounds: GenBounds) -> Formula:
 
 
 def gen_sugared_formula(rng: random.Random, bounds: GenBounds) -> Formula:
-    """A formula guaranteed to use at least one lowered connective."""
+    """A formula guaranteed to use ! or ->, the connectives to_nnf rewrites."""
     while True:
         formula = gen_formula(rng, bounds)
         if to_nnf(formula) != formula:

@@ -35,14 +35,13 @@ def _term(draw, scope):
 
 @st.composite
 def formulas(draw, depth=3, scope=frozenset(), quantifiers=2, sugar=True):
-    """Well-formed closed formulas (closed when scope starts empty)."""
-    kinds = ["atom", "atom"]
-    if sugar:
-        kinds.append("literal")
+    """Well-formed closed formulas (closed when scope starts empty);
+    without sugar, ! and ->, each one is its own normal form."""
+    kinds = ["atom", "atom", "literal"]
     if depth > 0:
-        kinds += ["and", "or", "next", "until", "release"]
+        kinds += ["and", "or", "next", "until", "release", "finally", "globally"]
         if sugar:
-            kinds += ["not", "implies", "finally", "globally"]
+            kinds += ["not", "implies"]
         if quantifiers > 0:
             kinds += ["exists", "forall"]
     kind = draw(st.sampled_from(kinds))

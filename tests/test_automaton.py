@@ -23,7 +23,10 @@ from foltl.formula import (
     Const,
     Eq,
     Exists,
+    FalseLit,
+    Finally,
     FormulaError,
+    Globally,
     Neq,
     Next,
     Not,
@@ -32,7 +35,7 @@ from foltl.formula import (
     Path,
     Release,
     ShadowedVariableError,
-    TRUE_ATOM,
+    TrueLit,
     UnboundVariableError,
     Until,
     Var,
@@ -299,7 +302,7 @@ class TestConstruction:
     def test_request_ack_state_count(self):
         nnf = to_nnf(parse('G forall x in "/m/req" : F exists y in "/m/ack" : y = x'))
         auto = build_automaton(nnf)
-        assert len(auto.states) == 7
+        assert len(auto.states) == 5
         assert auto.accepting == {0}
 
     def test_shared_subtrees_collapse(self):
@@ -362,6 +365,12 @@ class TestDelta:
     def test_false_atom(self):
         auto = build_automaton(NO)
         assert auto.delta(auto.initial, STOCK) == FALSE_DNF
+
+    def test_literals_are_constant(self):
+        for literal, dnf in ((TrueLit(), TRUE_DNF), (FalseLit(), FALSE_DNF)):
+            auto = build_automaton(literal)
+            for message in (STOCK, AB):
+                assert auto.delta(auto.initial, message) == dnf
 
     def test_atom_reads_the_valuation(self):
         phi = Exists("x", Path(("m", "a")), Eq(Var("x"), Const("b")))
@@ -536,13 +545,13 @@ class TestFusedTemporalRules:
     def test_finally_keeps_each_binding_of_its_quantifier(self):
         # x = "b" discharges its F; x = "a" holds the F again under its binding.
         auto = build_automaton(parse('forall x in "/m/a" : F x = "b"'))
-        until = auto.states.index(Until(TRUE_ATOM, Eq(Var("x"), Const("b"))))
-        assert auto.delta(auto.initial, AB) == {frozenset({_ob(until, x="a")})}
+        pending = auto.states.index(Finally(Eq(Var("x"), Const("b"))))
+        assert auto.delta(auto.initial, AB) == {frozenset({_ob(pending, x="a")})}
         auto = build_automaton(parse('exists x in "/m/a" : F x = "c"'))
-        until = auto.states.index(Until(TRUE_ATOM, Eq(Var("x"), Const("c"))))
+        pending = auto.states.index(Finally(Eq(Var("x"), Const("c"))))
         assert auto.delta(auto.initial, AB) == {
-            frozenset({_ob(until, x="a")}),
-            frozenset({_ob(until, x="b")}),
+            frozenset({_ob(pending, x="a")}),
+            frozenset({_ob(pending, x="b")}),
         }
 
     def test_finally_joins_each_conjunct_of_its_operand(self):
@@ -569,6 +578,27 @@ class TestFusedTemporalRules:
     def test_violated_globally_is_false(self):
         auto = build_automaton(parse('G exists x in "/m/a" : x = "c"'))
         assert auto.delta(auto.initial, AB) == FALSE_DNF
+
+    def test_spelled_out_forms_take_the_general_rules_to_the_same_dnf(self):
+        # true U phi, "a" = "a" U phi and false R phi stay Until and
+        # Release, yet rewrite as F phi and G phi do once each side's
+        # own state ref is read as its formula.
+        def rewrite(text, message):
+            auto = build_automaton(parse(text))
+            names = ("itself", *auto.states[1:])
+            return {frozenset((p, names[s]) for p, s in c) for c in auto.delta(auto.initial, message)}
+
+        # On AB one body pends with a conjunct per binding, one holds and one fails.
+        for body in (
+            'exists x in "/m/a" : X x = "q"',
+            'exists x in "/m/a" : x = "b"',
+            'forall x in "/m/a" : x = "c"',
+        ):
+            for spelled, short in (("true U", "F"), ('"a" = "a" U', "F"), ("false R", "G")):
+                spelled = f"({spelled} {body})"
+                assert type(to_nnf(parse(spelled))) in (Until, Release)
+                for message in (AB, STOCK):
+                    assert rewrite(spelled, message) == rewrite(f"{short} {body}", message)
 
 
 def _reachable(auto, messages):
@@ -602,7 +632,7 @@ class TestDeltaInvariants:
                     ensure_well_formed(target_formula, bound)
                     assert temporal_depth(target_formula) <= temporal_depth(source)
                     if temporal_depth(target_formula) == temporal_depth(source):
-                        assert isinstance(target_formula, (Until, Release))
+                        assert isinstance(target_formula, (Finally, Globally, Until, Release))
 
     @given(strategies.nnf_formulas(), strategies.traces(max_length=2))
     def test_transitions_are_very_weak(self, formula, trace):

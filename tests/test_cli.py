@@ -91,7 +91,7 @@ class TestCompile:
     def test_stats(self, capsys):
         assert main(["compile", "--formula", REQ_ACK, "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "states 7\n" in out
+        assert "states 5\n" in out
         assert "accepting 1\n" in out
         assert "temporal-depth 2\n" in out
         assert "variables 2\n" in out

@@ -8,9 +8,7 @@ from foltl.acceptance import FuzzCase
 from foltl.automaton import Automaton, build_automaton
 from foltl.events import EmptyLoopError, LassoTrace, parse_message
 from foltl.formula import (
-    FALSE_ATOM,
     MAX_NESTING,
-    TRUE_ATOM,
     And,
     Const,
     Eq,
@@ -49,7 +47,9 @@ C = Eq(Const("c"), Const("c"))
 
 
 # The kinds a normal form is made of; every other kind is lowered.
-NORMAL_KINDS = frozenset({Eq, Neq, And, Or, Next, Until, Release, Exists, Forall})
+NORMAL_KINDS = frozenset({
+    TrueLit, FalseLit, Eq, Neq, And, Or, Next, Finally, Globally, Until, Release, Exists, Forall,
+})
 
 
 def _kinds(formula):
@@ -338,16 +338,19 @@ class TestChildren:
 
 class TestNormalForm:
     def test_literal_lowering(self):
-        assert to_nnf(TrueLit()) == TRUE_ATOM
-        assert to_nnf(FalseLit()) == FALSE_ATOM
-        assert TRUE_ATOM == Eq(Const("true"), Const("true"))
-        assert FALSE_ATOM == Neq(Const("true"), Const("true"))
+        # The literals stay literals, and each one's negation is the other.
+        assert to_nnf(TrueLit()) == TrueLit()
+        assert to_nnf(FalseLit()) == FalseLit()
+        assert to_nnf(Not(TrueLit())) == FalseLit()
+        assert to_nnf(Not(FalseLit())) == TrueLit()
 
     def test_finally_lowering(self):
-        assert to_nnf(Finally(A)) == Until(TRUE_ATOM, A)
+        assert to_nnf(Finally(A)) == Finally(A)
+        assert to_nnf(Finally(Not(A))) == Finally(Neq(Const("a"), Const("a")))
 
     def test_globally_lowering(self):
-        assert to_nnf(Globally(A)) == Release(FALSE_ATOM, A)
+        assert to_nnf(Globally(A)) == Globally(A)
+        assert to_nnf(Globally(Not(A))) == Globally(Neq(Const("a"), Const("a")))
 
     def test_implication_lowering(self):
         got = to_nnf(Implies(Eq(Const("a"), Const("b")), B))
@@ -375,13 +378,13 @@ class TestNormalForm:
         assert to_nnf(Not(Until(A, B))) == Release(neg_a, neg_b)
         assert to_nnf(Not(Release(A, B))) == Until(neg_a, neg_b)
 
-    def test_negated_finally_becomes_release(self):
+    def test_negated_finally_becomes_globally(self):
         got = to_nnf(Not(Finally(A)))
-        assert got == Release(FALSE_ATOM, Neq(Const("a"), Const("a")))
+        assert got == Globally(Neq(Const("a"), Const("a")))
 
-    def test_negated_globally_becomes_until(self):
+    def test_negated_globally_becomes_finally(self):
         got = to_nnf(Not(Globally(A)))
-        assert got == Until(TRUE_ATOM, Neq(Const("a"), Const("a")))
+        assert got == Finally(Neq(Const("a"), Const("a")))
 
     def test_negated_quantifiers_are_dual(self):
         path = Path(("m", "a"))
@@ -490,9 +493,9 @@ class TestClosure:
         assert build_automaton(phi).states == (phi, A)
 
     def test_closure_of_sugar_is_that_of_its_normal_form(self):
-        assert build_automaton(Not(A)).states == (Neq(Const("a"), Const("a")),)
-        until = Until(TRUE_ATOM, A)
-        assert build_automaton(Finally(A)).states == (until, TRUE_ATOM, A)
+        neg_a = Neq(Const("a"), Const("a"))
+        assert build_automaton(Not(A)).states == (neg_a,)
+        assert build_automaton(Not(Finally(A))).states == (Globally(neg_a), neg_a)
 
     @given(strategies.formulas())
     def test_closure_no_larger_than_node_count(self, formula):

@@ -41,7 +41,7 @@ def test_seed_42_corpus_is_unchanged(depth, quantifiers):
 # 299, each automaton built from its formula as generated: per case,
 # one sorted line per call holding its valuation, state, message and
 # resulting DNF, each in a canonical (sorted) form.
-DELTA_SHA256 = "c649a84387349f03be11bc40ac802353d7eb421857277cfbde3fe0f04b5b7bcc"
+DELTA_SHA256 = "b154477d09c0feb7a00958eab13a0332c8e0b80e539fec3560f0e8fa2fef961f"
 
 
 def _canonical_obligation(obligation):
@@ -77,8 +77,8 @@ def test_seed_42_delta_calls_are_unchanged():
 # label in order and the sorted accepting refs.  The delta digest covers
 # only the states its cases visit.
 STATE_TABLE_SHA256 = {
-    (4, 3): "84898b011584b00e587d451bf7916a890eafd93f6b9ed17fc8d189f28c906376",
-    (3, 2): "fab4083ad0ddddeda6a0e9eb283003e5f0fc08704ab9cf2752f2e8fce3ba8119",
+    (4, 3): "db7af0193eb359bdde43ef1057c218a287783c462500ad6b709042be7f012ac6",
+    (3, 2): "19f63b908a3abe2577e539d6b76d2be8d2b875d45a43cc436af27b976d66defd",
 }
 
 
@@ -97,8 +97,8 @@ def test_seed_42_state_tables_are_unchanged(depth, quantifiers):
 # one line each per case: d4q3 cases 0 to 999, and 300 cases at bounds
 # whose formulas reach about 60 nodes.
 NNF_SHA256 = {
-    (4, 3, 12, 1000): "e45c69b6d9189e203510e9d4c7eaa3e7013737cc38d001d1d50717fe73e98257",
-    (8, 6, 60, 300): "a61f7de44cffd913348a82ca99bd61dbf5c49b744cec1da900dc9feb3ee4fa5b",
+    (4, 3, 12, 1000): "af5dfe056b80a3f568ae897b3b1fc8ade2c1f732822723b60835823879876123",
+    (8, 6, 60, 300): "3dd743c342e0bc228b55e948b047c1fc0e744caaad81c2ae025d7e19f0e7e6d1",
 }
 
 
@@ -115,7 +115,7 @@ def test_seed_42_normal_forms_are_unchanged(depth, quantifiers, size, count):
 # sha256 over every monitor configuration on d4q3 cases 0 to 299, each
 # automaton built from its formula as generated: one line per message of
 # prefix + loop x 3, its conjuncts, each sorted.
-CONFIGURATION_SHA256 = "dad7f25da16efdb72aaf772b7c4e13d70372098cec9ddeabc37f1fef596f7881"
+CONFIGURATION_SHA256 = "57030146dd4f48e7900ee52baaf13aaaede723dcb73c3a37bf755dcbae3d0a53"
 
 
 def test_seed_42_monitor_configurations_are_unchanged():

@@ -17,7 +17,7 @@ from foltl.acceptance import (
 from foltl.automaton import EMPTY_VALUATION, build_automaton
 from foltl.cli import fuzz_report_lines, main
 from foltl.events import LassoTrace, load_lasso, parse_message
-from foltl.formula import _LOWERED, Finally, Not, parse, to_nnf
+from foltl.formula import _DUAL, Finally, Not, parse, to_nnf
 from foltl.gen import GenBounds
 
 REQ_ACK = 'G forall x in "/m/req" : F exists y in "/m/ack" : y = x'
@@ -187,11 +187,11 @@ class TestFuzz:
         assert [c.trace for c in first] == [c.trace for c in second]
 
     def test_broken_normal_form_shows_as_disagreement(self, monkeypatch):
-        # A lowering that turns F phi into phi reaches the automaton route
-        # alone: the oracle reads each formula as generated, and its scope
-        # check runs the same walk but never reads the normal form.
+        # A lowering that negates F phi to F !phi reaches the automaton
+        # route alone: the oracle reads each formula as generated, and its
+        # scope check runs the same walk but never reads the normal form.
         sound = fuzz_compare(42, 200)
-        monkeypatch.setitem(_LOWERED, Finally, lambda body: body)
+        monkeypatch.setitem(_DUAL, Finally, Finally)
         cases = fuzz_compare(42, 200)
         assert any(not case.agree and not case.limit_states for case in cases)
         assert [case.oracle_result for case in cases] == [case.oracle_result for case in sound]
