@@ -36,15 +36,15 @@ MUTANTS = (
     Mutant(
         "finally-discharges-at-once",
         "automaton.py",
-        "body(p, m) | {frozenset({(p, ref)})}",
-        "body(p, m) | {frozenset()}",
+        "body(p, a) | {frozenset({(p, ref)})}",
+        "body(p, a) | {frozenset()}",
         ("tests/test_automaton.py::TestFusedTemporalRules::test_pending_finally_holds_itself_again",),
     ),
     Mutant(
         "globally-forgets-itself",
         "automaton.py",
-        "frozenset([c | {(p, ref)} for c in body(p, m)])",
-        "frozenset([c for c in body(p, m)])",
+        "frozenset([c | {(p, ref)} for c in body(p, a)])",
+        "frozenset([c for c in body(p, a)])",
         ("tests/test_automaton.py::TestFusedTemporalRules::test_globally_that_holds_stays_pending",),
     ),
     Mutant(
@@ -64,15 +64,15 @@ MUTANTS = (
     Mutant(
         "delta-not-normalized",
         "automaton.py",
-        "return _normalize((self._rules[state] or self._rule(state))(valuation, message))",
-        "return (self._rules[state] or self._rule(state))(valuation, message)",
+        "return _normalize((self._rules[state] or self._rule(state))(valuation, letter))",
+        "return (self._rules[state] or self._rule(state))(valuation, letter)",
         ("tests/test_gen.py::test_seed_42_delta_calls_are_unchanged",),
     ),
     Mutant(
-        "stale-domain-memo",
+        "every-quantifier-reads-slot-0",
         "automaton.py",
-        "if seen is not m:",
-        "if seen is None:",
+        "body_ref, slot = self._refs[body], self._slots[path]",
+        "body_ref, slot = self._refs[body], 0",
         ("tests/test_automaton.py::TestDelta::test_domains_are_those_of_the_message_passed",),
     ),
     Mutant(

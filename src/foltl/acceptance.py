@@ -4,9 +4,8 @@ oracle_eval decides satisfaction by brute force straight from the
 temporal unfolding laws: per subformula and valuation it computes the
 set of canonical positions where the formula holds, taking Until as a
 least and Release as a greatest fixpoint over that finite position
-space.  It shares with the automaton route only the input layer
-(value_of, dom, canonical_position, position_message); its scope check
-runs ensure_well_formed for its errors and ignores the normal form.
+space.  It shares only value_of and dom with the automaton route; its
+scope check runs ensure_well_formed for its errors, not its normal form.
 
 lasso_accepts decides acceptance of the compiled automaton on
 (canonical position, obligation) pairs.  The automaton is very weak,
@@ -174,6 +173,9 @@ def lasso_accepts(
     state_limit counts the (position, obligation) pairs decided, at
     most |positions| x |obligations|.
     """
+    messages = trace.prefix + trace.loop
+    successors = [*range(1, len(messages)), len(trace.prefix)]
+    letters: list = [None] * len(messages)  # each position's, from its first visit
     won: dict[tuple[int, Obligation], bool] = {}
     pairs = 0
 
@@ -188,8 +190,10 @@ def lasso_accepts(
             if pairs > state_limit:
                 raise ResourceLimitError(pairs)
             walk[position] = None
-            after = canonical_position(trace, position + 1)
-            rewrite = automaton.delta(obligation, position_message(trace, position))
+            after = successors[position]
+            if (letter := letters[position]) is None:
+                letter = letters[position] = automaton.letter(messages[position])
+            rewrite = automaton.delta(obligation, letter)
             leaves = holds = False
             for conjunct in rewrite:
                 # Decide every obligation, so the pairs decided do not

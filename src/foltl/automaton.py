@@ -2,25 +2,22 @@
 
 States are the closure of the formula's normal form, which
 ensure_well_formed returns once scoping checks out, numbered here in
-preorder; the accepting states are its G and Release members.  The
-transition delta maps an obligation, a (variable valuation,
-state) pair, and a message to a positive boolean combination of
-successor obligations, a Dnf: a plain frozenset of conjuncts, each a
-frozenset of obligations, none a subset of another.
-Atoms that hold, and true, become the empty conjunct, and atoms that
-fail, and false, the empty disjunction: constant rules, not successors.
-F and G are kinds of their own, each with a rule of one operand call.
-Quantifiers expand over the value domain the current message yields for
-their path, so the automaton stays finite-state while valuations live
-inside obligations; a reachable obligation's valuation binds its state's
-free variables and none that the state quantifies again.
+preorder; the accepting states are its G and Release members.  A
+message reaches the automaton only as its letter, its domains over the
+automaton's distinct quantifier paths, and each quantifier expands over
+its path's slot: so the automaton stays finite-state whatever the
+domain, while valuations live inside obligations.  The transition delta
+maps an obligation, a (variable valuation, state) pair, and a letter to
+a positive boolean combination of successor obligations, a Dnf.  Atoms
+that hold, and true, become the empty conjunct, and atoms that fail,
+and false, the empty disjunction: constant rules, not successors.  F
+and G are kinds of their own, each with a rule of one operand call.
 
-What a state does on a message is fixed when the automaton is built,
+What a state does on a letter is fixed when the automaton is built,
 so each state is compiled once, when a transition first needs it, into
 a rule that closes over its operands' rules, successor references,
-quantified variables and paths; a transition hashes no formula.  Every
-rule returns a Dnf, which delta reduces to an antichain.  Each
-quantifier extracts its path's domain once per message.
+quantified variables and slots; a transition hashes no formula.  Every
+rule returns a Dnf, which delta reduces to an antichain.
 """
 from __future__ import annotations
 
@@ -39,6 +36,7 @@ from .formula import (
     Neq,
     Next,
     Or,
+    Path,
     Release,
     Term,
     TrueLit,
@@ -68,6 +66,7 @@ def value_of(valuation: Valuation, term: Term) -> str:
 
 
 Obligation = tuple[Valuation, int]
+Letter = tuple[frozenset[str], ...]
 Conjunct = frozenset[Obligation]
 # An order-free antichain of conjuncts: no conjunct is a subset of
 # another, so equality is structural.  Vacuous truth is one empty
@@ -117,21 +116,23 @@ def dnf_and(dnfs: Iterable[Dnf]) -> Dnf:
     return acc
 
 
-def _always(p: Valuation, m: Message) -> Dnf:
+def _always(p: Valuation, a: Letter) -> Dnf:
     return TRUE_DNF
 
 
-def _never(p: Valuation, m: Message) -> Dnf:
+def _never(p: Valuation, a: Letter) -> Dnf:
     return FALSE_DNF
 
 
-def _number(f: Formula, refs: dict[Formula, int]) -> None:
-    """Number f, then its operands in preorder, skipping any subtree equal to one numbered."""
+def _number(f: Formula, refs: dict[Formula, int], slots: dict[Path, int]) -> None:
+    """Number f, then its operands in preorder, skipping any subtree equal to one numbered, and slot new paths."""
     ref = len(refs)
     if refs.setdefault(f, ref) == ref:
+        if type(f) is Exists or type(f) is Forall:
+            slots.setdefault(f.path, len(slots))
         for field in f:
             if isinstance(field, Formula):
-                _number(field, refs)
+                _number(field, refs, slots)
 
 
 class Automaton:
@@ -140,30 +141,32 @@ class Automaton:
     The state table is its normal form's closure in preorder, and
     state references are indices into it.  Construction is pure and the
     table never changes.  One cache never shows in what delta returns:
-    each state's rule, kept from its first use.  A quantifier's rule
-    keeps its own path's domain of the last message it read.
+    each state's rule, kept from its first use.
     """
 
     def __init__(self, source: Formula):
         self._refs: dict[Formula, int] = {}
-        _number(ensure_well_formed(source), self._refs)
+        self._slots: dict[Path, int] = {}
+        _number(ensure_well_formed(source), self._refs, self._slots)
         self.states: tuple[Formula, ...] = tuple(self._refs)
         self.accepting = frozenset(ref for ref, f in enumerate(self.states) if type(f) in (Release, Globally))
         # The source's normal form is the closure's first member.
         self.initial: Obligation = (EMPTY_VALUATION, 0)
         self._rules: list = [None] * len(self.states)
 
-    def delta(self, obligation: Obligation, message: Message) -> Dnf:
-        """One-step rewrite of an obligation against a message, normalized.
+    def letter(self, message: Message) -> Letter:
+        """The message's domain over each quantifier path, in slot order: all that delta reads of it."""
+        return tuple([dom(message, path) for path in self._slots])
+
+    def delta(self, obligation: Obligation, letter: Letter) -> Dnf:
+        """One-step rewrite of an obligation against a message's letter, normalized.
 
         The obligation's valuation binds its state's free variables, as in
         every obligation reachable from the initial one: the source is
-        well formed, so no quantifier rebinds a variable.  Pure provided
-        no message is mutated once delta has seen it, as each quantifier
-        extracts its path's domain once per message object.
+        well formed, so no quantifier rebinds a variable.
         """
         valuation, state = obligation
-        return _normalize((self._rules[state] or self._rule(state))(valuation, message))
+        return _normalize((self._rules[state] or self._rule(state))(valuation, letter))
 
     def _rule(self, ref: int):
         """The state's rule, compiled on first use over its operands' rules."""
@@ -173,7 +176,7 @@ class Automaton:
         return rule
 
     def _compile(self, ref: int):
-        """A rule (valuation, message) -> Dnf; operand refs are hashed here only."""
+        """A rule (valuation, letter) -> Dnf; operand refs and paths are hashed here only."""
         f = self.states[ref]
         # Exact-type dispatch: class patterns in a match cost half as much again.
         kind = type(f)
@@ -183,54 +186,46 @@ class Automaton:
             left, right = f
             same = kind is Eq
             if type(left) is Var or type(right) is Var:
-                return lambda p, m: (
+                return lambda p, a: (
                     TRUE_DNF if (value_of(p, left) == value_of(p, right)) == same else FALSE_DNF
                 )
             return _always if (left.value == right.value) == same else _never
         if kind is Exists or kind is Forall:
             var, path, body = f
-            body_ref = self._refs[body]
-            # The last message read and its domain, replaced as one
-            # tuple so that threads never mix two messages' domains.
-            last: tuple[Message | None, frozenset[str]] = (None, frozenset())
+            body_ref, slot = self._refs[body], self._slots[path]
 
-            def bodies(p: Valuation, m: Message) -> list[Dnf]:
-                nonlocal last
-                seen, values = last
-                if seen is not m:
-                    values = dom(m, path)
-                    last = (m, values)
+            def bodies(p: Valuation, a: Letter) -> list[Dnf]:
                 # The body is needed, and so compiled, once a value binds.
-                if not values:
+                if not a[slot]:
                     return []
                 body_rule = self._rules[body_ref] or self._rule(body_ref)
-                return [body_rule(p | {(var, value)}, m) for value in values]
+                return [body_rule(p | {(var, value)}, a) for value in a[slot]]
 
             if kind is Exists:
-                return lambda p, m: frozenset().union(*bodies(p, m))
-            return lambda p, m: dnf_and(bodies(p, m))
+                return lambda p, a: frozenset().union(*bodies(p, a))
+            return lambda p, a: dnf_and(bodies(p, a))
         if kind is Next:
             later = self._refs[f.body]
-            return lambda p, m: frozenset({frozenset({(p, later)})})
+            return lambda p, a: frozenset({frozenset({(p, later)})})
         # Conjoining a single conjunct adds its obligation to each
         # conjunct; delta's normalization removes what that subsumes.
         if kind is Finally or kind is Globally:
             body = self._rule(self._refs[f.body])
             if kind is Finally:
-                return lambda p, m: body(p, m) | {frozenset({(p, ref)})}
-            return lambda p, m: frozenset([c | {(p, ref)} for c in body(p, m)])
+                return lambda p, a: body(p, a) | {frozenset({(p, ref)})}
+            return lambda p, a: frozenset([c | {(p, ref)} for c in body(p, a)])
         # The closure holds normal-form kinds only, so what is left is binary.
         first, second = (self._rule(self._refs[g]) for g in f)
         if kind is Or:
-            return lambda p, m: first(p, m) | second(p, m)
+            return lambda p, a: first(p, a) | second(p, a)
         if kind is And:
-            return lambda p, m: dnf_and((first(p, m), second(p, m)))
+            return lambda p, a: dnf_and((first(p, a), second(p, a)))
         if kind is Until:
-            return lambda p, m: second(p, m) | {c | {(p, ref)} for c in first(p, m)}
+            return lambda p, a: second(p, a) | {c | {(p, ref)} for c in first(p, a)}
 
-        def release(p: Valuation, m: Message) -> Dnf:
-            constraint = second(p, m)
-            return dnf_and((first(p, m), constraint)) | {c | {(p, ref)} for c in constraint}
+        def release(p: Valuation, a: Letter) -> Dnf:
+            constraint = second(p, a)
+            return dnf_and((first(p, a), constraint)) | {c | {(p, ref)} for c in constraint}
 
         return release
 

@@ -33,8 +33,7 @@ class EmptyLoopError(ValueError):
         super().__init__("lasso loop must hold at least one message")
 
 
-# A decoded JSON object, checked by message_from_obj.  Callers must not
-# mutate one once Automaton.delta has seen it: see there.
+# A decoded JSON object, checked by message_from_obj.
 Message = dict[str, object]
 
 

@@ -46,7 +46,7 @@ def initial_configuration(automaton: Automaton) -> Configuration:
 
 
 def step(automaton: Automaton, configuration: Configuration, message: Message) -> Configuration:
-    """Consume one message.
+    """Consume one message, read as one letter.
 
     Each distinct obligation of the configuration is rewritten once, into
     one table, and every conjunct is then the conjunction of its rows:
@@ -57,7 +57,8 @@ def step(automaton: Automaton, configuration: Configuration, message: Message) -
     conjunct and an empty disjunction stays empty.
     """
     conjuncts = configuration.dnf.conjuncts
-    rewrites = {o: automaton.delta(o, message) for o in frozenset().union(*conjuncts)}
+    letter = automaton.letter(message)
+    rewrites = {o: automaton.delta(o, letter) for o in frozenset().union(*conjuncts)}
     branches = [dnf_and([rewrites[o] for o in conjunct]) for conjunct in conjuncts]
     return Configuration(Disjunction(dnf_or(branches)))
 

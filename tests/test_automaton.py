@@ -360,24 +360,24 @@ class TestConstruction:
 class TestDelta:
     def test_true_atom(self):
         auto = build_automaton(A)
-        assert auto.delta(auto.initial, STOCK) == TRUE_DNF
+        assert auto.delta(auto.initial, auto.letter(STOCK)) == TRUE_DNF
 
     def test_false_atom(self):
         auto = build_automaton(NO)
-        assert auto.delta(auto.initial, STOCK) == FALSE_DNF
+        assert auto.delta(auto.initial, auto.letter(STOCK)) == FALSE_DNF
 
     def test_literals_are_constant(self):
         for literal, dnf in ((TrueLit(), TRUE_DNF), (FalseLit(), FALSE_DNF)):
             auto = build_automaton(literal)
             for message in (STOCK, AB):
-                assert auto.delta(auto.initial, message) == dnf
+                assert auto.delta(auto.initial, auto.letter(message)) == dnf
 
     def test_atom_reads_the_valuation(self):
         phi = Exists("x", Path(("m", "a")), Eq(Var("x"), Const("b")))
         auto = build_automaton(phi)
         atom = auto.states.index(Eq(Var("x"), Const("b")))
-        assert auto.delta((frozenset({("x", "b")}), atom), AB) == TRUE_DNF
-        assert auto.delta((frozenset({("x", "a")}), atom), AB) == FALSE_DNF
+        assert auto.delta((frozenset({("x", "b")}), atom), auto.letter(AB)) == TRUE_DNF
+        assert auto.delta((frozenset({("x", "a")}), atom), auto.letter(AB)) == FALSE_DNF
 
     def test_unbound_variable_raises(self):
         with pytest.raises(UnboundVariableError) as err:
@@ -390,58 +390,58 @@ class TestDelta:
     def test_next_defers_to_the_body(self):
         phi = Next(A)
         auto = build_automaton(phi)
-        got = auto.delta(auto.initial, STOCK)
+        got = auto.delta(auto.initial, auto.letter(STOCK))
         held = (EMPTY_VALUATION, auto.states.index(A))
         assert got == frozenset({frozenset({held})})
 
     def test_until_settles_on_true_right(self):
         auto = build_automaton(Until(NO, A))
-        assert auto.delta(auto.initial, STOCK) == TRUE_DNF
+        assert auto.delta(auto.initial, auto.letter(STOCK)) == TRUE_DNF
 
     def test_until_holds_on_true_left(self):
         phi = Until(A, NO)
         auto = build_automaton(phi)
-        got = auto.delta(auto.initial, STOCK)
+        got = auto.delta(auto.initial, auto.letter(STOCK))
         assert got == frozenset({frozenset({(EMPTY_VALUATION, 0)})})
 
     def test_until_fails_when_both_fail(self):
         auto = build_automaton(Until(NO, NO))
-        assert auto.delta(auto.initial, STOCK) == FALSE_DNF
+        assert auto.delta(auto.initial, auto.letter(STOCK)) == FALSE_DNF
 
     def test_release_settles_when_both_hold(self):
         auto = build_automaton(Release(A, B))
-        assert auto.delta(auto.initial, STOCK) == TRUE_DNF
+        assert auto.delta(auto.initial, auto.letter(STOCK)) == TRUE_DNF
 
     def test_release_holds_on_right_only(self):
         phi = Release(NO, A)
         auto = build_automaton(phi)
-        got = auto.delta(auto.initial, STOCK)
+        got = auto.delta(auto.initial, auto.letter(STOCK))
         assert got == frozenset({frozenset({(EMPTY_VALUATION, 0)})})
 
     def test_release_fails_without_right(self):
         auto = build_automaton(Release(A, NO))
-        assert auto.delta(auto.initial, STOCK) == FALSE_DNF
+        assert auto.delta(auto.initial, auto.letter(STOCK)) == FALSE_DNF
 
     def test_exists_witness_decides(self):
         phi = parse('exists x in "/message/stock/name" : x = "stock-1"')
         auto = build_automaton(to_nnf(phi))
-        assert auto.delta(auto.initial, STOCK) == TRUE_DNF
+        assert auto.delta(auto.initial, auto.letter(STOCK)) == TRUE_DNF
 
     def test_exists_over_empty_domain_fails(self):
         phi = parse('exists x in "/message/missing" : x = "stock-1"')
         auto = build_automaton(to_nnf(phi))
-        assert auto.delta(auto.initial, STOCK) == FALSE_DNF
+        assert auto.delta(auto.initial, auto.letter(STOCK)) == FALSE_DNF
 
     def test_forall_over_empty_domain_holds(self):
         phi = parse('forall x in "/message/missing" : x = "stock-1"')
         auto = build_automaton(to_nnf(phi))
-        assert auto.delta(auto.initial, STOCK) == TRUE_DNF
+        assert auto.delta(auto.initial, auto.letter(STOCK)) == TRUE_DNF
 
     def test_exists_spawns_one_branch_per_value(self):
         phi = parse('exists x in "/m/a" : X x = "q"')
         auto = build_automaton(to_nnf(phi))
         atom = auto.states.index(Eq(Var("x"), Const("q")))
-        got = auto.delta(auto.initial, AB)
+        got = auto.delta(auto.initial, auto.letter(AB))
         assert got == frozenset(
             {
                 frozenset({(frozenset({("x", "a")}), atom)}),
@@ -453,7 +453,7 @@ class TestDelta:
         phi = parse('forall x in "/m/a" : X x = "q"')
         auto = build_automaton(to_nnf(phi))
         atom = auto.states.index(Eq(Var("x"), Const("q")))
-        got = auto.delta(auto.initial, AB)
+        got = auto.delta(auto.initial, auto.letter(AB))
         assert got == frozenset(
             {
                 frozenset(
@@ -477,18 +477,18 @@ class TestDelta:
         auto = build_automaton(phi)
         frontier = {auto.initial}
         for message in (first, second, first, copy):
-            rewrites = [auto.delta(obligation, message) for obligation in frontier]
-            fresh = [build_automaton(phi).delta(obligation, message) for obligation in frontier]
-            assert rewrites == fresh
+            rewrites = [auto.delta(obligation, auto.letter(message)) for obligation in frontier]
+            fresh = build_automaton(phi)
+            assert rewrites == [fresh.delta(obligation, fresh.letter(message)) for obligation in frontier]
             frontier = {o for dnf in rewrites for conjunct in dnf for o in conjunct}
         assert len(frontier) > 1
 
     def test_delta_is_pure(self):
         phi = to_nnf(parse('G exists x in "/m/a" : x = "a"'))
         auto = build_automaton(phi)
-        first = auto.delta(auto.initial, AB)
+        first = auto.delta(auto.initial, auto.letter(AB))
         assert type(first) is frozenset
-        assert auto.delta(auto.initial, AB) == first
+        assert auto.delta(auto.initial, auto.letter(AB)) == first
 
     def test_each_state_is_compiled_once(self, monkeypatch):
         # `x = "b"` is an operand of U, of | and of the U under X: one
@@ -536,20 +536,20 @@ class TestFusedTemporalRules:
 
     def test_pending_finally_holds_itself_again(self):
         auto = build_automaton(parse('F exists x in "/m/a" : x = "c"'))
-        assert auto.delta(auto.initial, AB) == {frozenset({auto.initial})}
+        assert auto.delta(auto.initial, auto.letter(AB)) == {frozenset({auto.initial})}
 
     def test_discharged_finally_is_true(self):
         auto = build_automaton(parse('F exists x in "/m/a" : x = "b"'))
-        assert auto.delta(auto.initial, AB) == TRUE_DNF
+        assert auto.delta(auto.initial, auto.letter(AB)) == TRUE_DNF
 
     def test_finally_keeps_each_binding_of_its_quantifier(self):
         # x = "b" discharges its F; x = "a" holds the F again under its binding.
         auto = build_automaton(parse('forall x in "/m/a" : F x = "b"'))
         pending = auto.states.index(Finally(Eq(Var("x"), Const("b"))))
-        assert auto.delta(auto.initial, AB) == {frozenset({_ob(pending, x="a")})}
+        assert auto.delta(auto.initial, auto.letter(AB)) == {frozenset({_ob(pending, x="a")})}
         auto = build_automaton(parse('exists x in "/m/a" : F x = "c"'))
         pending = auto.states.index(Finally(Eq(Var("x"), Const("c"))))
-        assert auto.delta(auto.initial, AB) == {
+        assert auto.delta(auto.initial, auto.letter(AB)) == {
             frozenset({_ob(pending, x="a")}),
             frozenset({_ob(pending, x="b")}),
         }
@@ -557,7 +557,7 @@ class TestFusedTemporalRules:
     def test_finally_joins_each_conjunct_of_its_operand(self):
         auto = build_automaton(parse('F exists x in "/m/a" : X x = "q"'))
         atom = auto.states.index(Eq(Var("x"), Const("q")))
-        assert auto.delta(auto.initial, AB) == {
+        assert auto.delta(auto.initial, auto.letter(AB)) == {
             frozenset({_ob(atom, x="a")}),
             frozenset({_ob(atom, x="b")}),
             frozenset({auto.initial}),
@@ -565,19 +565,19 @@ class TestFusedTemporalRules:
 
     def test_globally_that_holds_stays_pending(self):
         auto = build_automaton(parse('G exists x in "/m/a" : x = "a"'))
-        assert auto.delta(auto.initial, AB) == {frozenset({auto.initial})}
+        assert auto.delta(auto.initial, auto.letter(AB)) == {frozenset({auto.initial})}
 
     def test_globally_joins_itself_to_each_conjunct_of_its_operand(self):
         auto = build_automaton(parse('G exists x in "/m/a" : X x = "q"'))
         atom = auto.states.index(Eq(Var("x"), Const("q")))
-        assert auto.delta(auto.initial, AB) == {
+        assert auto.delta(auto.initial, auto.letter(AB)) == {
             frozenset({_ob(atom, x="a"), auto.initial}),
             frozenset({_ob(atom, x="b"), auto.initial}),
         }
 
     def test_violated_globally_is_false(self):
         auto = build_automaton(parse('G exists x in "/m/a" : x = "c"'))
-        assert auto.delta(auto.initial, AB) == FALSE_DNF
+        assert auto.delta(auto.initial, auto.letter(AB)) == FALSE_DNF
 
     def test_spelled_out_forms_take_the_general_rules_to_the_same_dnf(self):
         # true U phi, "a" = "a" U phi and false R phi stay Until and
@@ -586,7 +586,8 @@ class TestFusedTemporalRules:
         def rewrite(text, message):
             auto = build_automaton(parse(text))
             names = ("itself", *auto.states[1:])
-            return {frozenset((p, names[s]) for p, s in c) for c in auto.delta(auto.initial, message)}
+            dnf = auto.delta(auto.initial, auto.letter(message))
+            return {frozenset((p, names[s]) for p, s in c) for c in dnf}
 
         # On AB one body pends with a conjunct per binding, one holds and one fails.
         for body in (
@@ -608,7 +609,7 @@ def _reachable(auto, messages):
     for message in messages:
         step: set = set()
         for obligation in sorted(frontier, key=lambda o: (o[1], sorted(o[0]))):
-            dnf = auto.delta(obligation, message)
+            dnf = auto.delta(obligation, auto.letter(message))
             seen.append((obligation, dnf))
             for conjunct in dnf:
                 step.update(conjunct)

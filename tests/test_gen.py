@@ -39,14 +39,19 @@ def test_seed_42_corpus_is_unchanged(depth, quantifiers):
 
 # sha256 over every delta call lasso_accepts makes on d4q3 cases 0 to
 # 299, each automaton built from its formula as generated: per case,
-# one sorted line per call holding its valuation, state, message and
-# resulting DNF, each in a canonical (sorted) form.
+# one sorted line per call holding its valuation, state, the message
+# its letter was read from and resulting DNF, each in a canonical
+# (sorted) form.
 DELTA_SHA256 = "b154477d09c0feb7a00958eab13a0332c8e0b80e539fec3560f0e8fa2fef961f"
 
 
 def _canonical_obligation(obligation):
     valuation, state = obligation
     return [sorted(valuation), state]
+
+
+class _Letter(tuple):
+    """A letter that remembers the message it was read from."""
 
 
 def test_seed_42_delta_calls_are_unchanged():
@@ -57,15 +62,20 @@ def test_seed_42_delta_calls_are_unchanged():
         formula = gen_formula(rng, bounds)
         trace = gen_lasso(rng, bounds)
         automaton = build_automaton(formula)
-        delta, lines = automaton.delta, []
+        letter, delta, lines = automaton.letter, automaton.delta, []
 
-        def recording(obligation, message):
-            result = delta(obligation, message)
+        def reading(message):
+            tagged = _Letter(letter(message))
+            tagged.message = message
+            return tagged
+
+        def recording(obligation, tagged):
+            result = delta(obligation, tagged)
             dnf = sorted(sorted(map(_canonical_obligation, c)) for c in result)
-            lines.append(json.dumps([*_canonical_obligation(obligation), message, dnf], sort_keys=True))
+            lines.append(json.dumps([*_canonical_obligation(obligation), tagged.message, dnf], sort_keys=True))
             return result
 
-        automaton.delta = recording
+        automaton.letter, automaton.delta = reading, recording
         accepted = lasso_accepts(automaton, trace)
         digest.update(f"{index} {accepted} {len(lines)}\n".encode())
         digest.update("".join(line + "\n" for line in sorted(lines)).encode())

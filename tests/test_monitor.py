@@ -170,6 +170,21 @@ def test_delta_calls_do_not_depend_on_the_hash_seed():
     assert _delta_calls("1") == first
 
 
+def test_a_reused_message_dict_reads_as_it_holds_at_each_step():
+    # A caller may refill one dict per message; the verdicts are those of fresh dicts.
+    formula = parse('G forall z in "/m/a" : z != "c"')
+    automaton = build_automaton(formula)
+    configuration = initial_configuration(automaton)
+    message = message_from_obj({"m": {"a": "b"}})
+    verdicts = []
+    for value in ("b", "c"):
+        message["m"]["a"] = value
+        configuration = step(automaton, configuration, message)
+        verdicts.append(verdict(configuration))
+    fresh = monitor_trace(formula, (message_from_obj({"m": {"a": "b"}}), message_from_obj({"m": {"a": "c"}})))
+    assert verdicts == fresh == [Verdict.INCONCLUSIVE, Verdict.FALSE]
+
+
 class TestProperties:
     @given(strategies.formulas(), strategies.traces())
     def test_decided_verdicts_are_final(self, formula, trace):
