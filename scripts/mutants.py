@@ -76,6 +76,63 @@ MUTANTS = (
         ("tests/test_automaton.py::TestDelta::test_domains_are_those_of_the_message_passed",),
     ),
     Mutant(
+        "or-stops-on-false",
+        "automaton.py",
+        "x if EMPTY in (x := first(p, a)) else x | second(p, a)",
+        "x if not (x := first(p, a)) else x | second(p, a)",
+        ("tests/test_automaton.py::TestDelta::test_or_holds_on_either_side",),
+    ),
+    Mutant(
+        "and-stops-on-true",
+        "automaton.py",
+        "(x := first(p, a)) and dnf_and((x, second(p, a)))",
+        "x if EMPTY in (x := first(p, a)) else dnf_and((x, second(p, a)))",
+        ("tests/test_automaton.py::TestDelta::test_and_fails_on_either_side",),
+    ),
+    Mutant(
+        "until-stops-on-a-pending-right",
+        "automaton.py",
+        "x if EMPTY in (x := second(p, a)) else",
+        "x if (x := second(p, a)) else",
+        ("tests/test_automaton.py::TestDelta::test_until_keeps_itself_beside_a_pending_right",),
+    ),
+    Mutant(
+        "release-true-on-empty-constraint",
+        "automaton.py",
+        "return constraint and dnf_and(",
+        "return TRUE_DNF if not constraint else dnf_and(",
+        ("tests/test_automaton.py::TestDelta::test_release_fails_without_right",),
+    ),
+    Mutant(
+        "exists-stops-at-any-value",
+        "automaton.py",
+        "                    if EMPTY in found:\n",
+        "                    if True:\n",
+        ("tests/test_automaton.py::TestDelta::test_exists_spawns_one_branch_per_value",),
+    ),
+    Mutant(
+        "exists-reads-every-value",
+        "automaton.py",
+        "                    if EMPTY in found:\n",
+        "                    if False:\n",
+        ("tests/test_automaton.py::TestAbsorbingOperands::test_exists_stops_at_the_first_value_whose_body_holds",),
+    ),
+    # Passing dnf_and a list, not a generator, runs every value's body.
+    Mutant(
+        "forall-reads-every-value",
+        "automaton.py",
+        "(self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a) for value in a[slot]\n",
+        "[(self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a) for value in a[slot]]\n",
+        ("tests/test_automaton.py::TestAbsorbingOperands::test_forall_stops_at_the_first_value_whose_body_fails",),
+    ),
+    Mutant(
+        "atom-operand-tested-second",
+        "automaton.py",
+        "            first, second = second, first\n",
+        "            pass\n",
+        ("tests/test_automaton.py::TestAbsorbingOperands::test_and_or_test_an_atom_operand_first",),
+    ),
+    Mutant(
         "monitor-true-check-inverted",
         "monitor.py",
         "if frozenset() in conjuncts:",

@@ -17,7 +17,10 @@ What a state does on a letter is fixed when the automaton is built,
 so each state is compiled once, when a transition first needs it, into
 a rule that closes over its operands' rules, successor references,
 quantified variables and slots; a transition hashes no formula.  Every
-rule returns a Dnf, which delta reduces to an antichain.
+rule returns a Dnf, which delta reduces to an antichain.  A rule stops at
+an operand that settles it: true ends an Or, an exists or an Until, false
+an And, a forall or a Release.  What it skips is absorbed, and the minimal
+DNF of a monotone function is unique, so delta's antichain is the same.
 """
 from __future__ import annotations
 
@@ -74,8 +77,10 @@ Conjunct = frozenset[Obligation]
 Dnf = frozenset[Conjunct]
 
 
-TRUE_DNF: Dnf = frozenset({frozenset()})
+EMPTY: Conjunct = frozenset()
+TRUE_DNF: Dnf = frozenset({EMPTY})
 FALSE_DNF: Dnf = frozenset()
+_ATOMS = (Eq, Neq, TrueLit, FalseLit)
 
 
 def _normalize(conjuncts: AbstractSet[Conjunct]) -> Dnf:
@@ -193,17 +198,22 @@ class Automaton:
         if kind is Exists or kind is Forall:
             var, path, body = f
             body_ref, slot = self._refs[body], self._slots[path]
+            # The body is needed, and so compiled, once a value binds.
+            # forall stops, in dnf_and, at the first value whose body fails.
+            if kind is Forall:
+                return lambda p, a: dnf_and(
+                    (self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a) for value in a[slot]
+                )
 
-            def bodies(p: Valuation, a: Letter) -> list[Dnf]:
-                # The body is needed, and so compiled, once a value binds.
-                if not a[slot]:
-                    return []
-                body_rule = self._rules[body_ref] or self._rule(body_ref)
-                return [body_rule(p | {(var, value)}, a) for value in a[slot]]
+            def exists(p: Valuation, a: Letter) -> Dnf:
+                found = FALSE_DNF
+                for value in a[slot]:
+                    found = found | (self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a)
+                    if EMPTY in found:
+                        break
+                return found
 
-            if kind is Exists:
-                return lambda p, a: frozenset().union(*bodies(p, a))
-            return lambda p, a: dnf_and(bodies(p, a))
+            return exists
         if kind is Next:
             later = self._refs[f.body]
             return lambda p, a: frozenset({frozenset({(p, later)})})
@@ -216,16 +226,20 @@ class Automaton:
             return lambda p, a: frozenset([c | {(p, ref)} for c in body(p, a)])
         # The closure holds normal-form kinds only, so what is left is binary.
         first, second = (self._rule(self._refs[g]) for g in f)
+        # And and Or commute, so an atom, the cheap side to test, goes first.
+        if (kind is And or kind is Or) and type(f[1]) in _ATOMS and type(f[0]) not in _ATOMS:
+            first, second = second, first
         if kind is Or:
-            return lambda p, a: first(p, a) | second(p, a)
+            return lambda p, a: x if EMPTY in (x := first(p, a)) else x | second(p, a)
         if kind is And:
-            return lambda p, a: dnf_and((first(p, a), second(p, a)))
+            return lambda p, a: (x := first(p, a)) and dnf_and((x, second(p, a)))
         if kind is Until:
-            return lambda p, a: second(p, a) | {c | {(p, ref)} for c in first(p, a)}
+            return lambda p, a: x if EMPTY in (x := second(p, a)) else x | {c | {(p, ref)} for c in first(p, a)}
 
         def release(p: Valuation, a: Letter) -> Dnf:
+            # An empty constraint is FALSE, and returned as is.
             constraint = second(p, a)
-            return dnf_and((first(p, a), constraint)) | {c | {(p, ref)} for c in constraint}
+            return constraint and dnf_and((first(p, a), constraint)) | {c | {(p, ref)} for c in constraint}
 
         return release
 

@@ -35,7 +35,6 @@ from .formula import (
     Until,
     Var,
     _TEMPORAL_KINDS,
-    to_nnf,
 )
 
 VALUES = ("a", "b", "c")
@@ -78,11 +77,6 @@ def gen_message(rng: random.Random) -> Message:
     return message_from_obj({"m": body})
 
 
-def gen_finite_trace(rng: random.Random) -> tuple[Message, ...]:
-    """One to six messages, for monitoring corpora."""
-    return tuple(gen_message(rng) for _ in range(rng.randint(1, 6)))
-
-
 def gen_lasso(rng: random.Random, bounds: GenBounds) -> LassoTrace:
     prefix = tuple(gen_message(rng) for _ in range(rng.randint(0, bounds.max_prefix)))
     loop = tuple(gen_message(rng) for _ in range(rng.randint(1, bounds.max_loop)))
@@ -93,14 +87,6 @@ def gen_formula(rng: random.Random, bounds: GenBounds) -> Formula:
     budget = [bounds.size_budget]
     quantifiers = [bounds.max_quantifiers]
     return _gen(rng, bounds, bounds.max_depth, (), budget, quantifiers)
-
-
-def gen_sugared_formula(rng: random.Random, bounds: GenBounds) -> Formula:
-    """A formula guaranteed to use ! or ->, the connectives to_nnf rewrites."""
-    while True:
-        formula = gen_formula(rng, bounds)
-        if to_nnf(formula) != formula:
-            return formula
 
 
 def _gen_term(rng: random.Random, scope: tuple[str, ...]) -> Term:

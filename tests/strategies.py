@@ -1,7 +1,9 @@
-"""Hypothesis strategies shared across the suite."""
+"""Hypothesis strategies, and seeded corpus helpers, shared across the suite."""
+import random
+
 import hypothesis.strategies as st
 
-from foltl.events import LassoTrace, message_from_obj
+from foltl.events import LassoTrace, Message, message_from_obj
 from foltl.formula import (
     And,
     Const,
@@ -10,6 +12,7 @@ from foltl.formula import (
     FalseLit,
     Finally,
     Forall,
+    Formula,
     Globally,
     Implies,
     Neq,
@@ -21,7 +24,9 @@ from foltl.formula import (
     TrueLit,
     Until,
     Var,
+    to_nnf,
 )
+from foltl.gen import GenBounds, gen_formula, gen_message
 
 VALUES = ("a", "b", "c")
 PATHS = (Path(("m", "a")), Path(("m", "b")), Path(("m", "c", "d")))
@@ -123,3 +128,16 @@ def lassos(max_prefix=3, max_loop=3):
         st.lists(messages(), max_size=max_prefix),
         st.lists(messages(), min_size=1, max_size=max_loop),
     )
+
+
+def gen_finite_trace(rng: random.Random) -> tuple[Message, ...]:
+    """One to six messages, for monitoring corpora."""
+    return tuple(gen_message(rng) for _ in range(rng.randint(1, 6)))
+
+
+def gen_sugared_formula(rng: random.Random, bounds: GenBounds) -> Formula:
+    """A formula guaranteed to use ! or ->, the connectives to_nnf rewrites."""
+    while True:
+        formula = gen_formula(rng, bounds)
+        if to_nnf(formula) != formula:
+            return formula

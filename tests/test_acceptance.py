@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import strategies
 from foltl.acceptance import fuzz_compare, lasso_accepts, oracle_eval
 from foltl.automaton import EMPTY_VALUATION, FALSE_DNF, TRUE_DNF, build_automaton
 from foltl.events import LassoTrace, dom, parse_message
@@ -22,7 +23,7 @@ from foltl.formula import (
     parse,
     to_nnf,
 )
-from foltl.gen import GenBounds, case_rng, gen_finite_trace, gen_formula, gen_lasso, gen_message, gen_sugared_formula
+from foltl.gen import GenBounds, case_rng, gen_formula, gen_lasso, gen_message
 from foltl.monitor import Configuration, Disjunction, Verdict, initial_configuration, monitor_trace, step, verdict
 
 STOCK = parse_message(
@@ -88,7 +89,7 @@ def test_criterion_4_rewrite_transparency():
     agreed = True
     for index in range(100):
         rng = case_rng(11, "sugar", index)
-        formula = gen_sugared_formula(rng, bounds)
+        formula = strategies.gen_sugared_formula(rng, bounds)
         seen_kinds |= _connectives(formula)
         normal = to_nnf(formula)
         for _ in range(10):
@@ -121,7 +122,7 @@ def test_criterion_6_impartial_monitoring():
     while sum(decided.values()) < 100 and attempt < 500:
         rng = case_rng(7, "impartial", attempt)
         formula = gen_formula(rng, bounds)
-        trace = gen_finite_trace(rng)
+        trace = strategies.gen_finite_trace(rng)
         verdicts = monitor_trace(formula, trace)
         final = verdicts[-1] if verdicts else Verdict.INCONCLUSIVE
         if final is not Verdict.INCONCLUSIVE:

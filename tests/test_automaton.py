@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -47,8 +51,10 @@ from foltl.formula import (
     temporal_depth,
     to_nnf,
 )
+from foltl.gen import GenBounds, case_rng, gen_formula, gen_lasso
 from foltl.monitor import Verdict, initial_configuration, step, verdict
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 A = Eq(Const("a"), Const("a"))
 B = Eq(Const("b"), Const("b"))
 NO = Neq(Const("a"), Const("a"))
@@ -394,6 +400,16 @@ class TestDelta:
         held = (EMPTY_VALUATION, auto.states.index(A))
         assert got == frozenset({frozenset({held})})
 
+    def test_or_holds_on_either_side(self):
+        for phi, dnf in ((Or(NO, A), TRUE_DNF), (Or(A, NO), TRUE_DNF), (Or(NO, NO), FALSE_DNF)):
+            auto = build_automaton(phi)
+            assert auto.delta(auto.initial, auto.letter(STOCK)) == dnf
+
+    def test_and_fails_on_either_side(self):
+        for phi, dnf in ((And(NO, A), FALSE_DNF), (And(A, NO), FALSE_DNF), (And(A, B), TRUE_DNF)):
+            auto = build_automaton(phi)
+            assert auto.delta(auto.initial, auto.letter(STOCK)) == dnf
+
     def test_until_settles_on_true_right(self):
         auto = build_automaton(Until(NO, A))
         assert auto.delta(auto.initial, auto.letter(STOCK)) == TRUE_DNF
@@ -407,6 +423,11 @@ class TestDelta:
     def test_until_fails_when_both_fail(self):
         auto = build_automaton(Until(NO, NO))
         assert auto.delta(auto.initial, auto.letter(STOCK)) == FALSE_DNF
+
+    def test_until_keeps_itself_beside_a_pending_right(self):
+        auto = build_automaton(Until(A, Next(B)))
+        later = auto.states.index(B)
+        assert auto.delta(auto.initial, auto.letter(STOCK)) == {frozenset({_ob(later)}), frozenset({auto.initial})}
 
     def test_release_settles_when_both_hold(self):
         auto = build_automaton(Release(A, B))
@@ -617,6 +638,121 @@ def _reachable(auto, messages):
         if not frontier:
             break
     return seen
+
+
+# Counts the calls of the innermost atom's rule while lasso_accepts
+# decides 16 nested exists over a loop whose one message has a = a, b.
+_COUNT_INNERMOST_CALLS = """
+from foltl.acceptance import lasso_accepts
+from foltl.automaton import Automaton
+from foltl.events import LassoTrace, parse_message
+from foltl.formula import Const, Eq, Var, parse
+
+calls = 0
+compile_rule = Automaton._compile
+
+
+def counting_compile(automaton, ref):
+    rule = compile_rule(automaton, ref)
+    if automaton.states[ref] != Eq(Var("x15"), Const("a")):
+        return rule
+
+    def counting(p, a):
+        global calls
+        calls += 1
+        return rule(p, a)
+
+    return counting
+
+
+Automaton._compile = counting_compile
+formula = parse("".join(f'exists x{i} in "/m/a" : ' for i in range(16)) + 'x15 = "a"')
+loop = LassoTrace(prefix=(), loop=(parse_message('{"m":{"a":["a","b"]}}'),))
+print(lasso_accepts(Automaton(formula), loop), calls)
+"""
+
+
+def _rule_calls(monkeypatch, phi, watched, message=AB):
+    """How often the watched state's rule runs in the initial obligation's delta."""
+    calls = []
+    original = Automaton._compile
+
+    def counting_compile(auto, ref):
+        rule = original(auto, ref)
+        if auto.states[ref] != watched:
+            return rule
+        return lambda p, a: calls.append(p) or rule(p, a)
+
+    monkeypatch.setattr(Automaton, "_compile", counting_compile)
+    auto = build_automaton(phi)
+    auto.delta(auto.initial, auto.letter(message))
+    return len(calls)
+
+
+class TestAbsorbingOperands:
+    """A rule skips what an operand that settles it makes irrelevant, and delta stays the same."""
+
+    PENDING = Finally(B)
+    HOLDS = parse('exists x in "/m/a" : x = "a"')
+    FAILS = parse('forall x in "/m/a" : x = "a"')
+
+    def test_a_settling_operand_skips_the_other(self, monkeypatch):
+        # On AB, HOLDS holds and FAILS fails; neither is an atom.
+        for phi in (
+            Or(self.HOLDS, self.PENDING),
+            And(self.FAILS, self.PENDING),
+            Until(self.PENDING, self.HOLDS),
+            Release(self.PENDING, self.FAILS),
+        ):
+            assert _rule_calls(monkeypatch, phi, self.PENDING) == 0, phi
+        assert _rule_calls(monkeypatch, Or(self.FAILS, self.PENDING), self.PENDING) == 1
+
+    def test_and_or_test_an_atom_operand_first(self, monkeypatch):
+        assert _rule_calls(monkeypatch, And(self.PENDING, NO), self.PENDING) == 0
+        assert _rule_calls(monkeypatch, Or(self.PENDING, A), self.PENDING) == 0
+
+    def test_forall_stops_at_the_first_value_whose_body_fails(self, monkeypatch):
+        innermost = Eq(Var("x7"), Const("c"))
+        phi = parse("".join(f'forall x{i} in "/m/a" : ' for i in range(8)) + 'x7 = "c"')
+        assert _rule_calls(monkeypatch, phi, innermost) == 1
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_exists_stops_at_the_first_value_whose_body_holds(self, hash_seed):
+        # Every level once ran its body for both values: 65 536 calls.
+        done = subprocess.run(
+            [sys.executable, "-c", _COUNT_INNERMOST_CALLS],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed),
+            check=True,
+        )
+        accepted, calls = done.stdout.split()
+        assert accepted == "True"
+        assert 1 <= int(calls) <= 2
+
+    def test_operand_order_of_and_and_or_is_invisible_to_delta(self, monkeypatch):
+        # A second automaton holds each And and Or the other way round
+        # and, like a third as written, tests no atom first: on every
+        # obligation reached along a seed-42 d4q3 lasso, all three agree.
+        bounds = GenBounds(max_depth=4, max_quantifiers=3)
+        checked = 0
+        for index in range(1000):
+            rng = case_rng(42, "case", index)
+            formula = gen_formula(rng, bounds)
+            lasso = gen_lasso(rng, bounds)
+            messages = lasso.prefix + lasso.loop * 2
+            auto = build_automaton(formula)
+            obligations = {obligation for obligation, _ in _reachable(auto, messages)}
+            expected = [(o, m, auto.delta(o, auto.letter(m))) for o in obligations for m in messages]
+            with monkeypatch.context() as patched:
+                patched.setattr("foltl.automaton._ATOMS", ())
+                swapped, written = build_automaton(formula), build_automaton(formula)
+                swapped.states = tuple(type(f)(f[1], f[0]) if type(f) in (And, Or) else f for f in swapped.states)
+                for obligation, message, dnf in expected:
+                    for other in (swapped, written):
+                        assert other.delta(obligation, other.letter(message)) == dnf, (index, obligation)
+            checked += sum(type(auto.states[o[1]]) in (And, Or) for o in obligations)
+        assert checked > 100
 
 
 class TestDeltaInvariants:
