@@ -106,16 +106,23 @@ MUTANTS = (
     Mutant(
         "exists-stops-at-any-value",
         "automaton.py",
-        "                    if EMPTY in found:\n",
+        "                    if EMPTY in body:\n",
         "                    if True:\n",
         ("tests/test_automaton.py::TestDelta::test_exists_spawns_one_branch_per_value",),
     ),
     Mutant(
         "exists-reads-every-value",
         "automaton.py",
-        "                    if EMPTY in found:\n",
+        "                    if EMPTY in body:\n",
         "                    if False:\n",
         ("tests/test_automaton.py::TestAbsorbingOperands::test_exists_stops_at_the_first_value_whose_body_holds",),
+    ),
+    Mutant(
+        "exists-joins-at-each-value",
+        "automaton.py",
+        "                    bodies.append(body)\n",
+        "                    bodies = [FALSE_DNF.union(*bodies, body)]\n",
+        ("tests/test_automaton.py::TestAbsorbingOperands::test_exists_joins_pending_bodies_once",),
     ),
     # Passing dnf_and a list, not a generator, runs every value's body.
     Mutant(
@@ -124,13 +131,6 @@ MUTANTS = (
         "(self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a) for value in a[slot]\n",
         "[(self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a) for value in a[slot]]\n",
         ("tests/test_automaton.py::TestAbsorbingOperands::test_forall_stops_at_the_first_value_whose_body_fails",),
-    ),
-    Mutant(
-        "atom-operand-tested-second",
-        "automaton.py",
-        "            first, second = second, first\n",
-        "            pass\n",
-        ("tests/test_automaton.py::TestAbsorbingOperands::test_and_or_test_an_atom_operand_first",),
     ),
     Mutant(
         "monitor-true-check-inverted",

@@ -80,7 +80,6 @@ Dnf = frozenset[Conjunct]
 EMPTY: Conjunct = frozenset()
 TRUE_DNF: Dnf = frozenset({EMPTY})
 FALSE_DNF: Dnf = frozenset()
-_ATOMS = (Eq, Neq, TrueLit, FalseLit)
 
 
 def _normalize(conjuncts: AbstractSet[Conjunct]) -> Dnf:
@@ -206,12 +205,14 @@ class Automaton:
                 )
 
             def exists(p: Valuation, a: Letter) -> Dnf:
-                found = FALSE_DNF
+                # Pending bodies are joined once, at the end: a union per value would copy them all again.
+                bodies = []
                 for value in a[slot]:
-                    found = found | (self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a)
-                    if EMPTY in found:
-                        break
-                return found
+                    body = (self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a)
+                    if EMPTY in body:
+                        return body
+                    bodies.append(body)
+                return FALSE_DNF.union(*bodies)
 
             return exists
         if kind is Next:
@@ -226,9 +227,6 @@ class Automaton:
             return lambda p, a: frozenset([c | {(p, ref)} for c in body(p, a)])
         # The closure holds normal-form kinds only, so what is left is binary.
         first, second = (self._rule(self._refs[g]) for g in f)
-        # And and Or commute, so an atom, the cheap side to test, goes first.
-        if (kind is And or kind is Or) and type(f[1]) in _ATOMS and type(f[0]) not in _ATOMS:
-            first, second = second, first
         if kind is Or:
             return lambda p, a: x if EMPTY in (x := first(p, a)) else x | second(p, a)
         if kind is And:
