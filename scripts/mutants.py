@@ -50,8 +50,8 @@ MUTANTS = (
     Mutant(
         "true-literal-compiled-false",
         "automaton.py",
-        "return _always if kind is TrueLit else _never",
-        "return _never",
+        "rule = _always if kind is TrueLit else _never",
+        "rule = _never",
         ("tests/test_automaton.py::TestDelta::test_literals_are_constant",),
     ),
     Mutant(
@@ -62,38 +62,45 @@ MUTANTS = (
         ("tests/test_automaton.py::TestNormalize::test_subsumed_conjunct_is_removed_from_several",),
     ),
     Mutant(
+        "normalize-never-subsumes",
+        "automaton.py",
+        "kept[:smaller]",
+        "kept[:0]",
+        ("tests/test_automaton.py::TestNormalize",),
+    ),
+    Mutant(
         "delta-not-normalized",
         "automaton.py",
-        "return _normalize((self._rules[state] or self._rule(state))(valuation, letter))",
-        "return (self._rules[state] or self._rule(state))(valuation, letter)",
+        "return _normalize(self._rules[state](valuation, letter))",
+        "return self._rules[state](valuation, letter)",
         ("tests/test_gen.py::test_seed_42_delta_calls_are_unchanged",),
     ),
     Mutant(
         "every-quantifier-reads-slot-0",
         "automaton.py",
-        "body_ref, slot = self._refs[body], self._slots[path]",
-        "body_ref, slot = self._refs[body], 0",
+        "slot = slots.setdefault(path, len(slots))",
+        "slot = slots.setdefault(path, len(slots)) * 0",
         ("tests/test_automaton.py::TestDelta::test_domains_are_those_of_the_message_passed",),
     ),
     Mutant(
         "or-stops-on-false",
         "automaton.py",
-        "x if EMPTY in (x := first(p, a)) else x | second(p, a)",
-        "x if not (x := first(p, a)) else x | second(p, a)",
+        "x if EMPTY in (x := left(p, a)) else x | right(p, a)",
+        "x if not (x := left(p, a)) else x | right(p, a)",
         ("tests/test_automaton.py::TestDelta::test_or_holds_on_either_side",),
     ),
     Mutant(
         "and-stops-on-true",
         "automaton.py",
-        "(x := first(p, a)) and dnf_and((x, second(p, a)))",
-        "x if EMPTY in (x := first(p, a)) else dnf_and((x, second(p, a)))",
+        "(x := left(p, a)) and dnf_and((x, right(p, a)))",
+        "x if EMPTY in (x := left(p, a)) else dnf_and((x, right(p, a)))",
         ("tests/test_automaton.py::TestDelta::test_and_fails_on_either_side",),
     ),
     Mutant(
         "until-stops-on-a-pending-right",
         "automaton.py",
-        "x if EMPTY in (x := second(p, a)) else",
-        "x if (x := second(p, a)) else",
+        "x if EMPTY in (x := right(p, a)) else",
+        "x if (x := right(p, a)) else",
         ("tests/test_automaton.py::TestDelta::test_until_keeps_itself_beside_a_pending_right",),
     ),
     Mutant(
@@ -106,31 +113,47 @@ MUTANTS = (
     Mutant(
         "exists-stops-at-any-value",
         "automaton.py",
-        "                    if EMPTY in body:\n",
+        "                    if EMPTY in found:\n",
         "                    if True:\n",
         ("tests/test_automaton.py::TestDelta::test_exists_spawns_one_branch_per_value",),
     ),
     Mutant(
         "exists-reads-every-value",
         "automaton.py",
-        "                    if EMPTY in body:\n",
+        "                    if EMPTY in found:\n",
         "                    if False:\n",
         ("tests/test_automaton.py::TestAbsorbingOperands::test_exists_stops_at_the_first_value_whose_body_holds",),
     ),
     Mutant(
         "exists-joins-at-each-value",
         "automaton.py",
-        "                    bodies.append(body)\n",
-        "                    bodies = [FALSE_DNF.union(*bodies, body)]\n",
+        "                    bodies.append(found)\n",
+        "                    bodies = [FALSE_DNF.union(*bodies, found)]\n",
         ("tests/test_automaton.py::TestAbsorbingOperands::test_exists_joins_pending_bodies_once",),
     ),
     # Passing dnf_and a list, not a generator, runs every value's body.
     Mutant(
         "forall-reads-every-value",
         "automaton.py",
-        "(self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a) for value in a[slot]\n",
-        "[(self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a) for value in a[slot]]\n",
+        "dnf_and(body(p | {(var, value)}, a) for value in a[slot])",
+        "dnf_and([body(p | {(var, value)}, a) for value in a[slot]])",
         ("tests/test_automaton.py::TestAbsorbingOperands::test_forall_stops_at_the_first_value_whose_body_fails",),
+    ),
+    # The duplicate's rule is compiled again and replaces the first:
+    # delta cannot tell, only the count of compilations.
+    Mutant(
+        "equal-subtree-compiled-again",
+        "automaton.py",
+        "    if ref < len(rules):\n        return ref\n",
+        "",
+        ("tests/test_automaton.py::TestDelta::test_each_state_is_compiled_once",),
+    ),
+    Mutant(
+        "accepting-drops-release",
+        "automaton.py",
+        "if kind is Globally or kind is Release:",
+        "if kind is Globally:",
+        ("tests/test_automaton.py::TestAcceptingSets::test_release_accepts_itself",),
     ),
     Mutant(
         "monitor-true-check-inverted",

@@ -14,7 +14,7 @@ and false, the empty disjunction: constant rules, not successors.  F
 and G are kinds of their own, each with a rule of one operand call.
 
 What a state does on a letter is fixed when the automaton is built,
-so each state is compiled once, when a transition first needs it, into
+so the walk that numbers the states compiles each one there, once, into
 a rule that closes over its operands' rules, successor references,
 quantified variables and slots; a transition hashes no formula.  Every
 rule returns a Dnf, which delta reduces to an antichain.  A rule stops at
@@ -86,10 +86,14 @@ def _normalize(conjuncts: AbstractSet[Conjunct]) -> Dnf:
     # Zero or one conjunct is an antichain already, and a frozenset is returned as is.
     if len(conjuncts) < 2:
         return frozenset(conjuncts)
-    # Visiting by size first makes one subset pass produce the antichain.
+    # Visiting by size first makes one subset pass produce the antichain;
+    # conjuncts are distinct, so only a smaller one can subsume a candidate.
     kept: list[Conjunct] = []
+    smaller = size = 0
     for candidate in sorted(conjuncts, key=len):
-        if not any(existing <= candidate for existing in kept):
+        if len(candidate) > size:
+            smaller, size = len(kept), len(candidate)
+        if not any(existing <= candidate for existing in kept[:smaller]):
             kept.append(candidate)
     return frozenset(kept)
 
@@ -128,35 +132,91 @@ def _never(p: Valuation, a: Letter) -> Dnf:
     return FALSE_DNF
 
 
-def _number(f: Formula, refs: dict[Formula, int], slots: dict[Path, int]) -> None:
-    """Number f, then its operands in preorder, skipping any subtree equal to one numbered, and slot new paths."""
-    ref = len(refs)
-    if refs.setdefault(f, ref) == ref:
-        if type(f) is Exists or type(f) is Forall:
-            slots.setdefault(f.path, len(slots))
-        for field in f:
-            if isinstance(field, Formula):
-                _number(field, refs, slots)
+def _build(f: Formula, refs: dict[Formula, int], slots: dict[Path, int], rules: list, accepting: set[int]) -> int:
+    """Number f, then its operands in preorder, skipping any subtree equal to one numbered,
+    slot new paths, and compile f's rule over its operands' rules; return f's ref."""
+    ref = refs.setdefault(f, len(refs))
+    if ref < len(rules):
+        return ref
+    rules.append(None)
+    # Exact-type dispatch: class patterns in a match cost half as much again.
+    kind = type(f)
+    if kind is Globally or kind is Release:
+        accepting.add(ref)
+    if kind is TrueLit or kind is FalseLit:
+        rule = _always if kind is TrueLit else _never
+    elif kind is Eq or kind is Neq:
+        left, right = f
+        same = kind is Eq
+        if type(left) is Var or type(right) is Var:
+            rule = lambda p, a: TRUE_DNF if (value_of(p, left) == value_of(p, right)) == same else FALSE_DNF
+        else:
+            rule = _always if (left.value == right.value) == same else _never
+    elif kind is Exists or kind is Forall:
+        var, path, operand = f
+        slot = slots.setdefault(path, len(slots))
+        body = rules[_build(operand, refs, slots, rules, accepting)]
+        if kind is Exists:
+            def rule(p: Valuation, a: Letter) -> Dnf:
+                # Pending bodies are joined once, at the end: a union per value would copy them all again.
+                bodies = []
+                for value in a[slot]:
+                    found = body(p | {(var, value)}, a)
+                    if EMPTY in found:
+                        return found
+                    bodies.append(found)
+                return FALSE_DNF.union(*bodies)
+        else:
+            # forall stops, in dnf_and, at the first value whose body fails.
+            rule = lambda p, a: dnf_and(body(p | {(var, value)}, a) for value in a[slot])
+    elif kind is Next:
+        body = _build(f.body, refs, slots, rules, accepting)
+        rule = lambda p, a: frozenset({frozenset({(p, body)})})
+    # Conjoining a single conjunct adds its obligation to each
+    # conjunct; delta's normalization removes what that subsumes.
+    elif kind is Finally or kind is Globally:
+        body = rules[_build(f.body, refs, slots, rules, accepting)]
+        if kind is Finally:
+            rule = lambda p, a: body(p, a) | {frozenset({(p, ref)})}
+        else:
+            rule = lambda p, a: frozenset([c | {(p, ref)} for c in body(p, a)])
+    else:
+        # The closure holds normal-form kinds only, so what is left is binary.
+        left = rules[_build(f.left, refs, slots, rules, accepting)]
+        right = rules[_build(f.right, refs, slots, rules, accepting)]
+        if kind is Or:
+            rule = lambda p, a: x if EMPTY in (x := left(p, a)) else x | right(p, a)
+        elif kind is And:
+            rule = lambda p, a: (x := left(p, a)) and dnf_and((x, right(p, a)))
+        elif kind is Until:
+            rule = lambda p, a: x if EMPTY in (x := right(p, a)) else x | {c | {(p, ref)} for c in left(p, a)}
+        else:
+            def rule(p: Valuation, a: Letter) -> Dnf:
+                # An empty constraint is FALSE, and returned as is.
+                constraint = right(p, a)
+                return constraint and dnf_and((left(p, a), constraint)) | {c | {(p, ref)} for c in constraint}
+    rules[ref] = rule
+    return ref
 
 
 class Automaton:
     """Alternating automaton for a formula as written; for its negation, wrap it in Not.
 
     The state table is its normal form's closure in preorder, and
-    state references are indices into it.  Construction is pure and the
-    table never changes.  One cache never shows in what delta returns:
-    each state's rule, kept from its first use.
+    state references are indices into it.  Construction is pure, and
+    compiles every state's rule; neither table changes after.
     """
 
     def __init__(self, source: Formula):
-        self._refs: dict[Formula, int] = {}
+        refs: dict[Formula, int] = {}
         self._slots: dict[Path, int] = {}
-        _number(ensure_well_formed(source), self._refs, self._slots)
-        self.states: tuple[Formula, ...] = tuple(self._refs)
-        self.accepting = frozenset(ref for ref, f in enumerate(self.states) if type(f) in (Release, Globally))
+        self._rules: list = []
+        accepting: set[int] = set()
+        _build(ensure_well_formed(source), refs, self._slots, self._rules, accepting)
+        self.states: tuple[Formula, ...] = tuple(refs)
+        self.accepting = frozenset(accepting)
         # The source's normal form is the closure's first member.
         self.initial: Obligation = (EMPTY_VALUATION, 0)
-        self._rules: list = [None] * len(self.states)
 
     def letter(self, message: Message) -> Letter:
         """The message's domain over each quantifier path, in slot order: all that delta reads of it."""
@@ -170,76 +230,7 @@ class Automaton:
         well formed, so no quantifier rebinds a variable.
         """
         valuation, state = obligation
-        return _normalize((self._rules[state] or self._rule(state))(valuation, letter))
-
-    def _rule(self, ref: int):
-        """The state's rule, compiled on first use over its operands' rules."""
-        rule = self._rules[ref]
-        if rule is None:
-            rule = self._rules[ref] = self._compile(ref)
-        return rule
-
-    def _compile(self, ref: int):
-        """A rule (valuation, letter) -> Dnf; operand refs and paths are hashed here only."""
-        f = self.states[ref]
-        # Exact-type dispatch: class patterns in a match cost half as much again.
-        kind = type(f)
-        if kind is TrueLit or kind is FalseLit:
-            return _always if kind is TrueLit else _never
-        if kind is Eq or kind is Neq:
-            left, right = f
-            same = kind is Eq
-            if type(left) is Var or type(right) is Var:
-                return lambda p, a: (
-                    TRUE_DNF if (value_of(p, left) == value_of(p, right)) == same else FALSE_DNF
-                )
-            return _always if (left.value == right.value) == same else _never
-        if kind is Exists or kind is Forall:
-            var, path, body = f
-            body_ref, slot = self._refs[body], self._slots[path]
-            # The body is needed, and so compiled, once a value binds.
-            # forall stops, in dnf_and, at the first value whose body fails.
-            if kind is Forall:
-                return lambda p, a: dnf_and(
-                    (self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a) for value in a[slot]
-                )
-
-            def exists(p: Valuation, a: Letter) -> Dnf:
-                # Pending bodies are joined once, at the end: a union per value would copy them all again.
-                bodies = []
-                for value in a[slot]:
-                    body = (self._rules[body_ref] or self._rule(body_ref))(p | {(var, value)}, a)
-                    if EMPTY in body:
-                        return body
-                    bodies.append(body)
-                return FALSE_DNF.union(*bodies)
-
-            return exists
-        if kind is Next:
-            later = self._refs[f.body]
-            return lambda p, a: frozenset({frozenset({(p, later)})})
-        # Conjoining a single conjunct adds its obligation to each
-        # conjunct; delta's normalization removes what that subsumes.
-        if kind is Finally or kind is Globally:
-            body = self._rule(self._refs[f.body])
-            if kind is Finally:
-                return lambda p, a: body(p, a) | {frozenset({(p, ref)})}
-            return lambda p, a: frozenset([c | {(p, ref)} for c in body(p, a)])
-        # The closure holds normal-form kinds only, so what is left is binary.
-        first, second = (self._rule(self._refs[g]) for g in f)
-        if kind is Or:
-            return lambda p, a: x if EMPTY in (x := first(p, a)) else x | second(p, a)
-        if kind is And:
-            return lambda p, a: (x := first(p, a)) and dnf_and((x, second(p, a)))
-        if kind is Until:
-            return lambda p, a: x if EMPTY in (x := second(p, a)) else x | {c | {(p, ref)} for c in first(p, a)}
-
-        def release(p: Valuation, a: Letter) -> Dnf:
-            # An empty constraint is FALSE, and returned as is.
-            constraint = second(p, a)
-            return constraint and dnf_and((first(p, a), constraint)) | {c | {(p, ref)} for c in constraint}
-
-        return release
+        return _normalize(self._rules[state](valuation, letter))
 
     def to_dot(self) -> str:
         lines = ["digraph automaton {", "  rankdir=LR;", '  entry [shape=point, label=""];']

@@ -401,9 +401,10 @@ class TestNormalForm:
 
     def test_walk_leaves_no_garbage_cycle(self):
         # No call leaves a cycle behind: reference counting alone frees
-        # what the walk and the state numbering allocate, with the
-        # collector off, as long as no rule has been compiled.
+        # what the walk and the build allocate, with the collector off,
+        # and what the compiled rules allocate once a quantifier binds.
         formula = parse('G forall x in "/m/req" : F exists y in "/m/ack" : y = x')
+        message = parse_message('{"m":{"req":["a","b"],"ack":["b","c"]}}')
         gc.collect()
         gc.disable()
         try:
@@ -411,7 +412,13 @@ class TestNormalForm:
                 to_nnf(formula)
                 to_nnf(Not(formula))
                 ensure_well_formed(formula)
-                Automaton(formula)
+                for source in (formula, Not(formula)):
+                    auto = Automaton(source)
+                    letter = auto.letter(message)
+                    assert all(letter)
+                    for conjunct in auto.delta(auto.initial, letter):
+                        for obligation in conjunct:
+                            auto.delta(obligation, letter)
             assert gc.collect() == 0
         finally:
             gc.enable()
