@@ -169,6 +169,18 @@ MUTANTS = (
         "",
         ("tests/test_monitor.py::TestNegationDuality",),
     ),
+    # The conjuncts merge into one before they are rewritten: the
+    # disjunction is read as a conjunction.
+    Mutant(
+        "step-conjoins-the-conjuncts",
+        "monitor.py",
+        "for conjunct in conjuncts]",
+        "for conjunct in [frozenset().union(*conjuncts)]]",
+        (
+            "tests/test_monitor.py::TestConfigurations::test_conjuncts_sharing_an_obligation_each_rewrite_it",
+            "tests/test_gen.py::test_seed_42_monitor_configurations_are_unchanged",
+        ),
+    ),
     Mutant(
         "true-once-only-releases-pend",
         "monitor.py",

@@ -242,6 +242,4 @@ class Automaton:
         return "\n".join(lines)
 
 
-def build_automaton(formula: Formula) -> Automaton:
-    """Compile a formula; states number |closure of its normal form|."""
-    return Automaton(formula)
+build_automaton = Automaton

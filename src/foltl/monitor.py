@@ -48,18 +48,16 @@ def initial_configuration(automaton: Automaton) -> Configuration:
 def step(automaton: Automaton, configuration: Configuration, message: Message) -> Configuration:
     """Consume one message, read as one letter.
 
-    Each distinct obligation of the configuration is rewritten once, into
-    one table, and every conjunct is then the conjunction of its rows:
-    rows with a single conjunct, the usual case for a pending backlog,
-    merge by plain union and only the rest distribute.  Across conjuncts
-    the results are disjoined and reduced to an antichain.  The decided
+    Each conjunct conjoins the rewrites of its own obligations: rewrites
+    with a single conjunct, the usual case for a pending backlog, merge
+    by plain union and only the rest distribute.  Across conjuncts the
+    results are disjoined and reduced to an antichain.  The decided
     configurations are fixed points: an empty conjunct stays an empty
     conjunct and an empty disjunction stays empty.
     """
     conjuncts = configuration.dnf.conjuncts
     letter = automaton.letter(message)
-    rewrites = {o: automaton.delta(o, letter) for o in frozenset().union(*conjuncts)}
-    branches = [dnf_and([rewrites[o] for o in conjunct]) for conjunct in conjuncts]
+    branches = [dnf_and([automaton.delta(o, letter) for o in conjunct]) for conjunct in conjuncts]
     return Configuration(Disjunction(dnf_or(branches)))
 
 

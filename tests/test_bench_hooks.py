@@ -7,6 +7,7 @@ import importlib.util
 import pathlib
 from types import ModuleType
 
+import foltl.automaton
 import foltl.monitor
 from foltl.automaton import Automaton
 from foltl.events import message_from_obj
@@ -35,6 +36,13 @@ def test_every_patch_target_exists():
         if vars(target).get(attribute) is None
     }
     assert missing <= DEAD
+
+
+def test_build_automaton_is_the_class_itself():
+    # The tracer times builds through this name; a wrapper around the
+    # class would add a call frame to every build it times.
+    assert foltl.build_automaton is Automaton
+    assert foltl.automaton.build_automaton is Automaton
 
 
 def test_step_conjoins_and_disjoins_through_the_monitors_names(monkeypatch):

@@ -13,7 +13,7 @@ import strategies
 from foltl.acceptance import lasso_accepts, oracle_eval
 from foltl.automaton import EMPTY_VALUATION, FALSE_DNF, TRUE_DNF, build_automaton
 from foltl.events import LassoTrace, load_trace, message_from_obj
-from foltl.formula import Not, parse, to_nnf
+from foltl.formula import Not, format_formula, parse, to_nnf
 from foltl.gen import GenBounds, case_rng, gen_formula, gen_lasso
 from foltl.monitor import (
     Configuration,
@@ -81,6 +81,28 @@ class TestConfigurations:
         for message in MIXED:
             assert step(auto, Configuration(Disjunction(TRUE_DNF)), message).dnf.conjuncts == TRUE_DNF
             assert step(auto, Configuration(Disjunction(FALSE_DNF)), message).dnf.conjuncts == FALSE_DNF
+
+    def test_conjuncts_sharing_an_obligation_each_rewrite_it(self):
+        # State 2 is F exists y in "/m/ack" : y = x.  Requests r1 and r2
+        # pend in one conjunct, r2 and r3 in the other.  An ack discharges
+        # its request wherever it pends and leaves the rest pending, and
+        # a conjunct that another one contains is dropped.
+        auto = build_automaton(parse('G forall x in "/m/req" : F exists y in "/m/ack" : y = x'))
+        assert format_formula(auto.states[2]) == 'F exists y in "/m/ack" : y = x'
+
+        def pending(*values):
+            return frozenset({(frozenset({("x", value)}), 2) for value in values})
+
+        config = Configuration(Disjunction(frozenset({pending("r1", "r2"), pending("r2", "r3")})))
+        expected = {
+            "r1": {pending("r2")},  # {r2} subsumes {r2, r3}
+            "r2": {pending("r1"), pending("r3")},
+            "r3": {pending("r2")},  # {r2} subsumes {r1, r2}
+            "r4": {pending("r1", "r2"), pending("r2", "r3")},
+        }
+        for ack, conjuncts in expected.items():
+            got = step(auto, config, message_from_obj({"m": {"ack": ack}}))
+            assert got.dnf.conjuncts == frozenset(conjuncts), ack
 
     def test_memory_held_does_not_grow_with_distinct_messages(self):
         # Each message requests a fresh id and acknowledges the one
