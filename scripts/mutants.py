@@ -257,11 +257,18 @@ MUTANTS = (
         ("tests/test_cli.py::TestMonitor::test_trace_not_utf8_is_an_error_exit",),
     ),
     Mutant(
-        "comment-blanked-to-nothing",
-        "cli.py",
-        'm[0] if m[0][0] == \'"\' else " " * len(m[0])',
-        'm[0] if m[0][0] == \'"\' else ""',
-        ("tests/test_cli.py::TestLoadFormula::test_syntax_error_offset_counts_from_the_file",),
+        "comment-line-not-skipped",
+        "formula.py",
+        "        elif match[3]:\n            continue\n",
+        "",
+        ("tests/test_formula.py::TestComments::test_comment_and_blank_lines_between_tokens",),
+    ),
+    Mutant(
+        "inline-hash-starts-a-comment",
+        "formula.py",
+        "(?m:^",
+        "(?m:",
+        ("tests/test_formula.py::TestTokenize::test_errors",),
     ),
 )
 

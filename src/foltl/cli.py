@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 import time
 from enum import IntEnum
@@ -24,7 +23,7 @@ from .events import (
     lasso_to_json,
     load_lasso,
 )
-from .formula import COMMENTS, Exists, Forall, Formula, FormulaError, format_formula, parse, temporal_depth
+from .formula import Exists, Forall, Formula, FormulaError, format_formula, parse, temporal_depth
 from .gen import GenBounds
 from .monitor import Verdict, initial_configuration, step, verdict
 
@@ -52,14 +51,8 @@ def count(text: str) -> int:
 
 
 def load_formula(path: str) -> Formula:
-    """One formula per file; lines whose first non-blank character is # are comments.
-
-    Text mode reads each line break as \\n, where a comment ends; no
-    comment starts inside a string constant, found by the lexer's rule.
-    Each comment becomes as many spaces, so error offsets count from the file.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    return parse(re.sub(COMMENTS, lambda m: m[0] if m[0][0] == '"' else " " * len(m[0]), text))
+    """One formula per file, in the language parse reads, comment lines included."""
+    return parse(Path(path).read_text(encoding="utf-8"))
 
 
 def cmd_compile(args) -> ExitStatus:

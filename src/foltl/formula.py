@@ -18,6 +18,9 @@ polarity only, so De Morgan lives in ``_DUAL`` alone; every other kind
 but ``!`` is kept.
 ``format_formula`` matches each node kind explicitly, because it states
 its meaning.  The lexer sorts the matches of one regular expression.
+It skips whitespace and comment lines: a comment is a line whose first
+non-blank character is ``#``, outside a string constant, and ends at
+``\n``, so ``\r\n`` works but a lone ``\r`` breaks no line.
 """
 from __future__ import annotations
 
@@ -178,12 +181,10 @@ class _Token(Record, namedtuple("_Token", "kind text position")):  # kind, text:
         return _quote(self.text) if self.kind == "STRING" else self.text
 
 
-# A string (body, closing quote if any), a word, a two-character
-# operator, or one other character; whitespace only separates.
+# A string (body, closing quote if any), a comment line (its text), a word,
+# a two-character operator, or one other character; whitespace only separates.
 _STRING = r'"((?:[^"\\]|\\["\\])*)("?)'
-_TOKEN = re.compile(_STRING + r"|\w+|!=|->|\S")
-# A formula file's comment line, or a string constant; left uncompiled, as only the CLI reads it.
-COMMENTS = r"(?m)^[^\S\n]*#.*|" + _STRING
+_TOKEN = re.compile(_STRING + r"|(?m:^[^\S\n]*(#.*))|\w+|!=|->|\S")
 _ESCAPE = re.compile(r'\\(["\\])')
 
 
@@ -192,7 +193,7 @@ def _tokenize(source: str) -> list[_Token]:
     for match in _TOKEN.finditer(source):
         text, start = match.group(), match.start()
         if text[0] == '"':
-            body, closed = match.groups()
+            body, closed = match.group(1, 2)
             if not closed:
                 if match.end() == len(source):
                     raise FormulaSyntaxError(start, "closing quote")
@@ -204,6 +205,8 @@ def _tokenize(source: str) -> list[_Token]:
             tokens.append(_Token(text, text, start))
         elif text == "-":
             raise FormulaSyntaxError(start, "token", found="-")
+        elif match[3]:
+            continue
         else:
             # A word that starts with a digit, or a stray character.
             raise FormulaSyntaxError(start, "token", found=repr(text[0]))

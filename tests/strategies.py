@@ -19,17 +19,13 @@ from foltl.formula import (
     Next,
     Not,
     Or,
-    Path,
     Release,
     TrueLit,
     Until,
     Var,
     to_nnf,
 )
-from foltl.gen import GenBounds, gen_formula, gen_message
-
-VALUES = ("a", "b", "c")
-PATHS = (Path(("m", "a")), Path(("m", "b")), Path(("m", "c", "d")))
+from foltl.gen import PATHS, VALUES, GenBounds, gen_formula, gen_message
 
 
 def _term(draw, scope):

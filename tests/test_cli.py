@@ -35,6 +35,10 @@ class TestLoadFormula:
         formula = load_formula(REQ_ACK)
         assert formula == parse('G forall x in "/m/req" : F exists y in "/m/ack" : y = x')
 
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.ltl")), ids=lambda path: path.name)
+    def test_parse_reads_a_formula_file_as_load_formula_does(self, path):
+        assert parse(path.read_text(encoding="utf-8")) == load_formula(str(path))
+
     def test_syntax_error_offset_counts_from_the_file(self, tmp_path, capsys):
         text = '# a comment line\n\n  G forall x "/m/a" : x = "a"\n'
         bad = tmp_path / "broken.ltl"

@@ -1,4 +1,6 @@
 import gc
+import random
+import re
 
 import pytest
 from hypothesis import given
@@ -39,7 +41,7 @@ from foltl.formula import (
     temporal_depth,
     to_nnf,
 )
-from foltl.gen import GenBounds
+from foltl.gen import GenBounds, case_rng, gen_formula
 
 A = Eq(Const("a"), Const("a"))
 B = Eq(Const("b"), Const("b"))
@@ -226,6 +228,8 @@ class TestTokenize:
             ("!x", [("!", "!", 0), ("IDENT", "x", 1), ("EOF", "", 2)]),
             ("a->b", [("IDENT", "a", 0), ("->", "->", 1), ("IDENT", "b", 3), ("EOF", "", 4)]),
             ('"a\\\\\\"b"', [("STRING", 'a\\"b', 0), ("EOF", "", 8)]),
+            # A comment runs from a line's first non-blank # to \n; a # line in a string is text.
+            ('# c\n \t# "d\r\n"a\n# b"', [("STRING", "a\n# b", 12), ("EOF", "", 19)]),
         ],
     )
     def test_tokens(self, source, tokens):
@@ -242,12 +246,74 @@ class TestTokenize:
             ('x = "a', 4, "closing quote", "at offset 4: expected closing quote"),
             ('"a\\"', 0, "closing quote", "at offset 0: expected closing quote"),
             ('"a" - "b"', 4, "token", "at offset 4: expected token, found -"),
+            # A # after a token on its line, or after a lone \r, starts no comment.
+            ('x = "a" # c', 8, "token", "at offset 8: expected token, found '#'"),
+            ("x\n  y # c", 6, "token", "at offset 6: expected token, found '#'"),
+            ("true\r# c", 5, "token", "at offset 5: expected token, found '#'"),
         ],
     )
     def test_errors(self, source, position, expected, message):
         with pytest.raises(FormulaSyntaxError) as err:
             _tokenize(source)
         assert (err.value.position, err.value.expected, str(err.value)) == (position, expected, message)
+
+
+# The reference: the command line's pass before the lexer skipped
+# comments, which blanked each comment line and kept string constants.
+_COMMENT_OR_STRING = re.compile(r'(?m)^[^\S\n]*#.*|"((?:[^"\\]|\\["\\])*)("?)')
+
+
+def _blanked(text):
+    return _COMMENT_OR_STRING.sub(lambda m: m[0] if m[0][0] == '"' else " " * len(m[0]), text)
+
+
+def _outcome(text):
+    try:
+        return parse(text)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+# Weighted toward the characters a comment is made of, with whole atoms
+# and a quantifier head so that some texts parse.
+_PIECES = (
+    "#", "#", "#", " ", " ", "\t", "\n", "\n", "\n", "\r\n", "\r", '"', '"', "\\", '\\"', "\\\\",
+    "x", "G", "F", "X", "U", "R", "exists", "forall", "in", "true", "false",
+    "=", "!=", "&", "|", "->", "!", "(", ")", ":", '"/m/a"', '"a"', "-",
+    *('"a" = "b"', 'x = "a"', 'exists x in "/m/a" :', ' "a\\"#" != "b" ') * 2,
+)
+
+
+class TestComments:
+    def test_same_outcome_as_blanking_comments_first(self):
+        rng = random.Random(0)
+        for _ in range(20_000):
+            text = "".join(rng.choices(_PIECES, k=rng.randint(0, 10)))
+            assert _outcome(text) == _outcome(_blanked(text)), text
+
+    def test_comment_and_blank_lines_between_tokens(self):
+        bounds = GenBounds(max_depth=4, max_quantifiers=3)
+        inserts = ("\n# note\n", "\n\n", '\n  \t# G x = "a" # "\r\n', "\n#\n\n   #\n")
+        rng = random.Random(42)
+        for index in range(1000):
+            formula = gen_formula(case_rng(42, "case", index), bounds)
+            text = format_formula(formula)
+            starts = [token.position for token in _tokenize(text)]
+            for start in sorted(rng.sample(starts, min(3, len(starts))), reverse=True):
+                text = text[:start] + rng.choice(inserts) + text[start:]
+            assert parse(text) == formula, text
+
+    @pytest.mark.parametrize("text", ["#", "# a\n", '  # "b\n\t#\r\n#'])
+    def test_only_comment_lines_fail_as_the_empty_text(self, text):
+        with pytest.raises(FormulaSyntaxError) as empty:
+            parse("")
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert err.value.position == len(text)
+        assert (err.value.expected, str(err.value)) == (
+            empty.value.expected,
+            str(empty.value).replace("offset 0", f"offset {len(text)}"),
+        )
 
 
 class TestRecords:
